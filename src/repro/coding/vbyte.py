@@ -10,14 +10,31 @@ factor lengths are small.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, List, Sequence
 
-from ..errors import DecodingError
-from .base import IntegerCodec, check_non_negative
+import numpy as np
 
-__all__ = ["VByteCodec", "encode_vbyte", "decode_vbyte"]
+from ..errors import DecodingError
+from .base import IntegerCodec, as_int_array, check_non_negative
+
+__all__ = ["VByteCodec", "encode_vbyte", "decode_vbyte", "decode_vbyte_array"]
 
 _TERMINATOR = 0x80
+
+#: Nine 7-bit digits fill 63 bits, the widest codeword an ``int64`` holds.
+_MAX_ARRAY_DIGITS = 9
+
+#: ``bytes.translate`` table giving each byte's 7-bit digit.
+_DIGITS = bytes(value & 0x7F for value in range(256))
+_TERMINATOR_BYTES = bytes(range(_TERMINATOR, 256))
+_CONTINUATION_RUN = re.compile(rb"[\x00-\x7f]+")
+
+#: A stream with at most one continuation byte per this many bytes is
+#: decoded without numpy.  Assembling one multi-byte codeword in Python
+#: costs ~0.7 us; at this share, on a ~800-value factor-length stream,
+#: that adds up to the whole numpy decode, so denser streams take it.
+_SPARSE_RATIO = 32
 
 
 def encode_vbyte(values: Iterable[int]) -> bytes:
@@ -41,30 +58,88 @@ def decode_vbyte(data: bytes, count: int | None = None) -> List[int]:
     data:
         The encoded byte string.
     count:
-        When given, exactly this many integers are decoded and trailing bytes
-        are an error; when ``None`` the whole buffer is decoded.
+        When given (and positive), decoding stops after this many integers
+        and any bytes after the ``count``-th codeword are ignored; a stream
+        holding fewer values raises :class:`DecodingError`.  When ``None``
+        the whole buffer is decoded.  A truncated final codeword always
+        raises.
+
+    A stream in which multi-byte codewords are rare (a factor-length
+    stream) is decoded by :func:`_decode_sparse`; any other stream by
+    :func:`decode_vbyte_array`.
     """
+    continuation_bytes = len(data.translate(None, _TERMINATOR_BYTES))
+    if continuation_bytes * _SPARSE_RATIO > len(data):
+        return decode_vbyte_array(data, count).tolist()
+    return _decode_sparse(data, count)
+
+
+def _decode_sparse(data: bytes, count: int | None) -> List[int]:
+    """:func:`decode_vbyte` without numpy, for mostly single-byte streams.
+
+    One ``bytes.translate`` yields every byte's 7-bit digit, so the
+    single-byte codewords between two multi-byte ones enter the list as
+    one slice.  One regex scan finds the runs of continuation bytes; only
+    those codewords are assembled in Python.  Unlike a numpy decode, this
+    never releases the GIL, so a decode thread does not queue behind the
+    server's event loop several times per document.
+    """
+    digits = data.translate(_DIGITS)
     values: List[int] = []
-    current = 0
-    shift = 0
-    for byte in data:
-        if byte & _TERMINATOR:
-            values.append(current | ((byte & 0x7F) << shift))
-            current = 0
-            shift = 0
-            if count is not None and len(values) == count:
-                break
-        else:
-            current |= byte << shift
-            shift += 7
-    else:
-        if shift != 0:
+    done = 0
+    for run in _CONTINUATION_RUN.finditer(data):
+        start, end = run.span()
+        values += digits[done:start]
+        if count is not None and 0 < count <= len(values):
+            return values[:count]
+        if end == len(data):
             raise DecodingError("truncated vbyte stream")
-        if count is not None and len(values) != count:
-            raise DecodingError(
-                f"vbyte stream contained {len(values)} values, expected {count}"
-            )
+        value = 0
+        for digit in reversed(digits[start : end + 1]):
+            value = (value << 7) | digit
+        values.append(value)
+        done = end + 1
+    values += digits[done:]
+    if count is not None and 0 < count <= len(values):
+        return values[:count]
+    if count is not None and len(values) != count:
+        raise DecodingError(
+            f"vbyte stream contained {len(values)} values, expected {count}"
+        )
     return values
+
+
+def decode_vbyte_array(data: bytes, count: int | None = None) -> np.ndarray:
+    """Decode vbyte data into an integer array (contract of :func:`decode_vbyte`).
+
+    The codewords are found all at once from their terminator bytes, and
+    each value is one ``reduceat`` sum of its shifted 7-bit digits.  A
+    codeword of more than nine bytes may not fit in ``int64``; such a
+    stream is decoded into exact Python integers instead.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw & _TERMINATOR)
+    if count is not None and 0 < count <= ends.size:
+        ends = ends[:count]
+        raw = raw[: ends[-1] + 1]
+    else:
+        if raw.size and (not ends.size or ends[-1] != raw.size - 1):
+            raise DecodingError("truncated vbyte stream")
+        if count is not None and ends.size != count:
+            raise DecodingError(
+                f"vbyte stream contained {ends.size} values, expected {count}"
+            )
+    digits = (raw & 0x7F).astype(np.int64)
+    if ends.size == raw.size:
+        return digits
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts + 1
+    if int(widths.max()) > _MAX_ARRAY_DIGITS:
+        return as_int_array(_decode_sparse(raw.tobytes(), None))
+    shifts = 7 * (np.arange(raw.size) - np.repeat(starts, widths))
+    return np.add.reduceat(digits << shifts, starts)
 
 
 class VByteCodec(IntegerCodec):
@@ -78,6 +153,9 @@ class VByteCodec(IntegerCodec):
 
     def decode(self, data: bytes, count: int) -> List[int]:
         return decode_vbyte(data, count)
+
+    def decode_array(self, data: bytes, count: int) -> np.ndarray:
+        return decode_vbyte_array(data, count)
 
     def decode_all(self, data: bytes) -> List[int]:
         return decode_vbyte(data)

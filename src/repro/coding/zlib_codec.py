@@ -15,6 +15,8 @@ from __future__ import annotations
 import zlib
 from typing import List, Sequence
 
+import numpy as np
+
 from ..errors import DecodingError
 from .base import IntegerCodec
 from .fixed import U32Codec
@@ -54,18 +56,20 @@ class ZlibCodec(IntegerCodec):
         return zlib.compress(self._inner.encode(values), self._level)
 
     def decode(self, data: bytes, count: int) -> List[int]:
-        try:
-            raw = zlib.decompress(data)
-        except zlib.error as exc:
-            raise DecodingError(f"corrupt zlib stream: {exc}") from exc
-        return self._inner.decode(raw, count)
+        return self._inner.decode(_inflate(data), count)
+
+    def decode_array(self, data: bytes, count: int) -> np.ndarray:
+        return self._inner.decode_array(_inflate(data), count)
 
     def decode_all(self, data: bytes) -> List[int]:
-        try:
-            raw = zlib.decompress(data)
-        except zlib.error as exc:
-            raise DecodingError(f"corrupt zlib stream: {exc}") from exc
-        return self._inner.decode_all(raw)
+        return self._inner.decode_all(_inflate(data))
+
+
+def _inflate(data: bytes) -> bytes:
+    try:
+        return zlib.decompress(data)
+    except zlib.error as exc:
+        raise DecodingError(f"corrupt zlib stream: {exc}") from exc
 
 
 def make_zlib_vbyte_codec(level: int = 9) -> ZlibCodec:

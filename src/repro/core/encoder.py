@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from ..coding import IntegerCodec, U32Codec, VByteCodec, ZlibCodec, encode_vbyte, make_codec
 from ..errors import DecodingError, EncodingError
 from .factor import Factor, Factorization
@@ -135,12 +137,33 @@ class PairEncoder:
     # ------------------------------------------------------------------
     def decode_streams(self, blob: bytes) -> Tuple[List[int], List[int]]:
         """Decode a blob back into its (positions, lengths) streams."""
+        return self._decode(blob, as_arrays=False)
+
+    def decode_arrays(self, blob: bytes) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_streams` as integer arrays (the codecs' ``decode_array``).
+
+        :meth:`repro.storage.RlzStore.get_window` locates a window's factors
+        with array arithmetic on these.  Whole-document decodes keep the
+        lists: :func:`repro.core.decode_pairs` consumes lists, and numpy
+        releases the GIL inside every large array operation, which on a
+        busy server hands the decode thread's turn away several times per
+        document.
+        """
+        return self._decode(blob, as_arrays=True)
+
+    def _decode(self, blob: bytes, as_arrays: bool):
         count, position_size, offset = self._read_header(blob)
         position_end = offset + position_size
         if position_end > len(blob):
             raise DecodingError("encoded document truncated in position stream")
-        positions = self._scheme.position_codec.decode(blob[offset:position_end], count)
-        lengths = self._scheme.length_codec.decode(blob[position_end:], count)
+        position_codec = self._scheme.position_codec
+        length_codec = self._scheme.length_codec
+        if as_arrays:
+            positions = position_codec.decode_array(blob[offset:position_end], count)
+            lengths = length_codec.decode_array(blob[position_end:], count)
+        else:
+            positions = position_codec.decode(blob[offset:position_end], count)
+            lengths = length_codec.decode(blob[position_end:], count)
         if len(positions) != count or len(lengths) != count:
             raise DecodingError("stream lengths disagree with factor count")
         return positions, lengths

@@ -849,6 +849,10 @@ class RlzServer:
         exchanged global ones.  When the request asks for snippets, each
         hit's window is materialized through the store's partial-decode
         path (:meth:`RlzStore.get_window`) — never a whole-document decode.
+
+        Scoring, every snippet window and the reply encoding run in one
+        executor submission, against a store captured before it, so the
+        whole reply comes from one store and pays one thread hand-off.
         """
         entry = conn.entry
         index = entry.search_index
@@ -883,35 +887,33 @@ class RlzServer:
             else None
         )
 
-        def _score():
-            return index.search(
+        store = entry.front.archive.store
+
+        def _serve() -> bytes:
+            hits = index.search(
                 query, top_k=top_k, k1=spec.k1, b=spec.b, global_stats=stats_arg
             )
+            wire_hits = []
+            for hit in hits:
+                snippet = b""
+                snippet_start = 0
+                if snippet_chars > 0:
+                    # Center the window on the first occurrence of a matched
+                    # query term; decode only the covering factors.
+                    snippet_start = max(0, hit.hit_offset - snippet_chars // 2)
+                    snippet = store.get_window(hit.doc_id, snippet_start, snippet_chars)
+                wire_hits.append(
+                    protocol.SearchHit(
+                        doc_id=hit.doc_id,
+                        score=hit.score,
+                        snippet=snippet,
+                        snippet_start=snippet_start,
+                    )
+                )
+            return protocol.pack_search_results(wire_hits)
 
-        hits = await loop.run_in_executor(None, _score)
-        store = entry.front.archive.store
-        wire_hits = []
-        for hit in hits:
-            snippet = b""
-            snippet_start = 0
-            if snippet_chars > 0:
-                # Center the window on the first occurrence of a matched
-                # query term; decode only the covering factors.
-                snippet_start = max(0, hit.hit_offset - snippet_chars // 2)
-                snippet = await loop.run_in_executor(
-                    None, store.get_window, hit.doc_id, snippet_start, snippet_chars
-                )
-            wire_hits.append(
-                protocol.SearchHit(
-                    doc_id=hit.doc_id,
-                    score=hit.score,
-                    snippet=snippet,
-                    snippet_start=snippet_start,
-                )
-            )
-        await conn.respond(
-            Opcode.R_SEARCH, protocol.pack_search_results(wire_hits), request_id
-        )
+        reply = await loop.run_in_executor(None, _serve)
+        await conn.respond(Opcode.R_SEARCH, reply, request_id)
 
     async def _dispatch_scan(
         self, conn: _Connection, payload: bytes, request_id: Optional[int]

@@ -26,6 +26,8 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.compressor import CompressedCollection
 from ..core.decoder import decode_many, decode_pairs
 from ..core.dictionary import RlzDictionary
@@ -283,12 +285,14 @@ class RlzStore:
         """Partial decode: ``length`` bytes of one document from ``start``.
 
         Only the factors whose output intersects ``[start, start+length)``
-        are materialised — the factor streams are decoded (cheap varint
-        headers), per-factor output lengths prefix-summed, and
-        :func:`repro.core.decode_pairs` runs on the covering sub-range,
-        with the partial head/tail factors trimmed afterwards.  The window
-        is clamped to the document, so over-long requests return what
-        exists; a window entirely past the end returns ``b""``.
+        are materialised.  The pair streams are decoded as arrays, one
+        ``np.cumsum`` of the per-factor output lengths gives every factor's
+        end offset, and two ``np.searchsorted`` calls find the covering
+        range ``[first, last]``; :func:`repro.core.decode_pairs` runs on
+        that sub-range only, with the partial head/tail factors trimmed
+        afterwards.  The window is clamped to the document, so over-long
+        requests return what exists; a window entirely past the end
+        returns ``b""``.
 
         This is the snippet-serving path: a SEARCH hit knows the byte
         offset of its first matching term, and the server decodes a window
@@ -302,26 +306,19 @@ class RlzStore:
             )
         entry = self._header.document_map.lookup(doc_id)
         blob = self._read_blob(entry)
-        positions, lengths = self._encoder.decode_streams(blob)
+        positions, lengths = self._encoder.decode_arrays(blob)
         # A literal factor (length 0) outputs exactly one byte.
-        total = sum(factor_length or 1 for factor_length in lengths)
-        end = min(start + length, total)
+        factor_ends = np.cumsum(np.maximum(lengths, 1))
+        end = min(start + length, int(factor_ends[-1]) if len(factor_ends) else 0)
         if start >= end:
             return b""
-        first = last = None
-        skip = 0
-        running = 0
-        for index, factor_length in enumerate(lengths):
-            factor_end = running + (factor_length or 1)
-            if first is None and factor_end > start:
-                first = index
-                skip = start - running
-            if factor_end >= end:
-                last = index
-                break
-            running = factor_end
+        first = int(np.searchsorted(factor_ends, start, side="right"))
+        last = int(np.searchsorted(factor_ends, end, side="left"))
+        skip = start - (int(factor_ends[first - 1]) if first else 0)
         window = decode_pairs(
-            positions[first : last + 1], lengths[first : last + 1], self._dictionary
+            positions[first : last + 1].tolist(),
+            lengths[first : last + 1].tolist(),
+            self._dictionary,
         )
         self._decoded_bytes += len(window)
         return bytes(window[skip : skip + (end - start)])

@@ -24,6 +24,7 @@ from repro.api import (
 )
 from repro.errors import SearchError
 from repro.search import InvertedIndex, index_sidecar_path, tokenize_text
+from repro.search.serving import PostingsStore
 from repro.serve import (
     AsyncClusterClient,
     AsyncRlzClient,
@@ -107,6 +108,56 @@ def test_snippets_come_from_the_document(search_server, gov_small):
                 term.encode() in hit.snippet.lower()
                 for term in tokenize_text(query)
             )
+
+
+@pytest.fixture
+def executor_submissions(monkeypatch):
+    """Every ``run_in_executor`` call made by any event loop (the server's
+    included) while the test runs."""
+    submitted = []
+    original = asyncio.BaseEventLoop.run_in_executor
+
+    def counting(loop, executor, func, *args):
+        submitted.append(func)
+        return original(loop, executor, func, *args)
+
+    monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counting)
+    return submitted
+
+
+def test_snippet_search_is_one_executor_hop(
+    search_server, indexed_archive, gov_small, executor_submissions
+):
+    """Scoring and all top-k snippet windows share one submission, and the
+    reply is exactly what scoring then windowing each hit gives."""
+    path, _, _ = indexed_archive
+    query = _queries(gov_small)[1]
+    contents = {document.doc_id: document.content for document in gov_small}
+    chars = 120
+    expected = [
+        (
+            hit.doc_id,
+            hit.score,
+            contents[hit.doc_id][start : start + chars],
+            start,
+        )
+        for hit in PostingsStore.open(index_sidecar_path(path)).search(query, top_k=10)
+        for start in [max(0, hit.hit_offset - chars // 2)]
+    ]
+    assert len(expected) > 1
+    with RlzClient(*search_server.address) as client:
+        client.search(query, top_k=10, snippet_chars=chars)  # opens lazily
+        executor_submissions.clear()
+        hits = client.search(query, top_k=10, snippet_chars=chars)
+        assert len(executor_submissions) == 1
+        assert [
+            (hit.doc_id, hit.score, hit.snippet, hit.snippet_start) for hit in hits
+        ] == expected
+
+        executor_submissions.clear()
+        num_documents, _, _ = client.search_stats(query)
+        assert len(executor_submissions) == 1
+        assert num_documents == len(gov_small)
 
 
 def test_no_snippets_by_default(search_server, gov_small):

@@ -10,8 +10,13 @@ evidence that partial decode pays over decode-the-document-and-slice.
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import PAPER_SCHEMES, PairEncoder, RlzCompressor
+from repro.corpus import Document, DocumentCollection
 from repro.errors import StorageError
 from repro.storage import RlzStore
 
@@ -102,3 +107,103 @@ def test_whole_document_reads_charge_document_size(store, gov_small):
     assert store.decoded_bytes - before == sum(
         len(document.content) for document in documents
     )
+
+
+# ----------------------------------------------------------------------
+# Every pair-coding scheme, against a factor-walk oracle
+# ----------------------------------------------------------------------
+def _covering_charge(lengths, start, length):
+    """Bytes the covering factors of a window output, by walking the factor
+    lengths one at a time (the cost ``decoded_bytes`` must charge)."""
+    total = sum(factor_length or 1 for factor_length in lengths)
+    end = min(start + length, total)
+    if start >= end:
+        return 0
+    charge = running = 0
+    for factor_length in lengths:
+        factor_end = running + (factor_length or 1)
+        if factor_end > start:
+            charge += factor_end - running
+        if factor_end >= end:
+            return charge
+        running = factor_end
+    raise AssertionError("window end lies past the last factor")
+
+
+@pytest.fixture(scope="module")
+def mixed_collection(gov_small):
+    """Dictionary text, literal-heavy bytes and an empty document."""
+    rng = random.Random(3)
+    noise = bytes(rng.randrange(256) for _ in range(300))
+    text = [document.content for document in list(gov_small)[:3]]
+    documents = [
+        Document(doc_id=index, url=f"http://mixed.example/{index}", content=content)
+        for index, content in enumerate(
+            [text[0], noise + text[1][:900] + noise[:40] + text[2][-700:], b""]
+        )
+    ]
+    return DocumentCollection(documents, name="mixed")
+
+
+@pytest.fixture(scope="module", params=PAPER_SCHEMES + ("GV",))
+def scheme_store(request, tmp_path_factory, mixed_collection, gov_dictionary):
+    compressor = RlzCompressor(dictionary=gov_dictionary, scheme=request.param)
+    path = tmp_path_factory.mktemp(f"window-{request.param}") / "mixed.rlz"
+    RlzStore.write(compressor.compress(mixed_collection), path)
+    with RlzStore.open(path) as opened:
+        encoder = PairEncoder(request.param)
+        lengths = {
+            document.doc_id: encoder.decode_streams(
+                opened._read_blob(opened.document_map.lookup(document.doc_id))
+            )[1]
+            for document in mixed_collection
+        }
+        yield opened, lengths
+
+
+def _check_window(scheme_store, document, start, length):
+    store, lengths = scheme_store
+    before = store.decoded_bytes
+    window = store.get_window(document.doc_id, start, length)
+    assert window == document.content[start : start + length], (start, length)
+    assert store.decoded_bytes - before == _covering_charge(
+        lengths[document.doc_id], start, length
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_window_matches_content_under_every_scheme(
+    scheme_store, mixed_collection, data
+):
+    document = data.draw(st.sampled_from(list(mixed_collection)))
+    size = len(document.content)
+    start = data.draw(st.integers(min_value=0, max_value=size + 3))
+    length = data.draw(st.integers(min_value=0, max_value=size + 3))
+    _check_window(scheme_store, document, start, length)
+
+
+def test_windows_straddling_literals_under_every_scheme(
+    scheme_store, mixed_collection
+):
+    store, lengths = scheme_store
+    document = mixed_collection[1]
+    offset = 0
+    literal_offsets = []
+    for factor_length in lengths[document.doc_id]:
+        if factor_length == 0:
+            literal_offsets.append(offset)
+        offset += factor_length or 1
+    assert len(literal_offsets) > 100
+    # Runs of literals, and the copy factors on either side of each run.
+    for literal in literal_offsets[:: len(literal_offsets) // 12] + literal_offsets[-3:]:
+        for start, length in ((literal, 1), (max(0, literal - 5), 11), (literal, 90)):
+            _check_window(scheme_store, document, start, length)
+
+
+def test_window_edges_under_every_scheme(scheme_store, mixed_collection):
+    for document in mixed_collection:
+        size = len(document.content)
+        for start, length in ((size, 10), (size, 0), (0, 0), (size // 2, 0)):
+            _check_window(scheme_store, document, start, length)
+        _check_window(scheme_store, document, 0, size)
