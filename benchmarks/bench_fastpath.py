@@ -77,10 +77,10 @@ def test_fastpath_network(benchmark, results_path):
 
 
 def test_fastpath_cluster(benchmark, results_path):
-    """Record the cluster-serving comparison (v1 request/response loop vs
-    pipelined single connection vs 1/2/4-shard ClusterClient fan-out) and
-    verify every served byte.  The pipelined loop must measurably beat
-    the v1 loop (target >= 1.5x)."""
+    """Record the cluster-serving comparison (sequential request/response
+    loop vs pipelined single connection vs 1/2/4-shard ClusterClient
+    fan-out) and verify every served byte.  The pipelined loop must
+    measurably beat the sequential loop (target >= 1.5x)."""
     from repro.bench.cluster import cluster_benchmark
 
     json_path = RESULTS_DIR / "fastpath.json"
@@ -95,7 +95,7 @@ def test_fastpath_cluster(benchmark, results_path):
     table.save(results_path)
     notes = "\n".join(table.notes)
     assert "served bytes verified against corpus: True" in notes
-    assert "pipelined 1-conn speedup over v1 request/response:" in notes
+    assert "pipelined 1-conn speedup over the sequential loop:" in notes
 
 
 def test_fastpath_chaos(benchmark, results_path):

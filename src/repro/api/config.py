@@ -189,8 +189,8 @@ class DeadlineSpec:
     """Request-deadline and hedging configuration for the serving clients.
 
     ``default_ms`` is the per-request deadline every client call carries
-    when the caller does not pass its own (0 = no deadline).  Protocol-v3
-    request frames propagate the remaining budget to the server, which
+    when the caller does not pass its own (0 = no deadline).  Request
+    frames propagate the remaining budget to the server, which
     drops work whose deadline already expired instead of decoding it.
     ``hedge_delay`` (seconds) arms hedged ``ClusterClient.get``: when a
     primary shard has not answered within the delay, a backup request is
@@ -261,8 +261,8 @@ class ServeSpec:
     ``port=0`` binds an ephemeral port (the server reports the real one);
     ``max_inflight`` is the backpressure gate — at most that many requests
     decode concurrently *per archive*, the rest queue (and once the queue
-    is a full gate deep, protocol-v2 clients are shed with ``R_BUSY``);
-    ``max_pipeline`` bounds how many requests one protocol-v2 connection
+    is a full gate deep, requests are shed with ``R_BUSY``);
+    ``max_pipeline`` bounds how many requests one connection
     may have in flight before the server stops reading its frames;
     ``max_frame_bytes`` bounds a single request/response frame (oversized
     frames are rejected as :class:`~repro.errors.ProtocolError` before any
@@ -275,7 +275,7 @@ class ServeSpec:
       hosts every named archive behind one port (the
       :class:`~repro.serve.RlzRouter`), opening each lazily;
     * ``default_archive`` — the name served to clients that do not pick
-      one (v1 clients, empty HELLO names); defaults to the first entry;
+      one (an empty HELLO name); defaults to the first entry;
     * ``endpoints`` — ``host:port`` list a
       :class:`~repro.serve.ClusterClient` fans out over;
     * ``virtual_nodes`` — consistent-hash points per endpoint in the

@@ -1,13 +1,13 @@
-"""Cluster-serving benchmark: pipelining and shard fan-out vs PR 4's loop.
+"""Cluster-serving benchmark: pipelining and shard fan-out vs a sequential loop.
 
 Two questions, one experiment:
 
 1. **Does pipelining pay?**  The same shuffled repeated-access query log
-   runs over *one* connection twice — as PR 4's strict request/response
-   loop (protocol v1: one request in flight, a full round trip each) and
-   as a protocol-v2 pipelined window (:meth:`RlzClient.pipelined_get`).
-   The v1 loop is the 1-socket-client shape the ROADMAP flags at ~0.4x
-   local; the pipelined loop keeps a window of requests in flight so the
+   runs over *one* connection twice — as a sequential ``RlzClient.get``
+   loop (one request in flight, a full round trip each) and as a
+   pipelined window (:meth:`RlzClient.pipelined_get`).  The sequential
+   loop is the 1-socket-client shape the ROADMAP flags at ~0.4x local;
+   the pipelined loop keeps a window of requests in flight so the
    per-request round-trip largely vanishes.
 
 2. **Does fan-out scale?**  The same log replays through a
@@ -57,11 +57,11 @@ def cluster_benchmark(
     pipeline_window: int = 32,
     output_json: Optional[str | Path] = None,
 ) -> ResultTable:
-    """Measure pipelined and sharded serving against the v1 loop.
+    """Measure pipelined and sharded serving against a sequential loop.
 
     Builds one archive in a temporary directory, replays the shuffled log
-    through (a) a protocol-v1 request/response loop on one connection,
-    (b) a protocol-v2 pipelined window on one connection, and (c) a
+    through (a) a one-in-flight ``get`` loop on one connection, (b) a
+    pipelined window on one connection, and (c) a
     :class:`ClusterClient` over 1/2/4 replica servers; byte-verifies every
     pipeline and optionally appends a machine-readable record to
     ``output_json``.
@@ -95,20 +95,22 @@ def cluster_benchmark(
         path = Path(tmp) / "cluster.rlz"
         RlzArchive.build(collection, config, path).close()
 
-        # -- one server: v1 request/response vs v2 pipelined, 1 conn ------
+        # -- one server: sequential vs pipelined, 1 conn -------------------
         with BackgroundServer(path, config) as server:
             host, port = server.address
-            with RlzClient(host, port, protocol_version=1, pool_size=1) as v1:
+            with RlzClient(host, port, pool_size=1) as client:
                 start = time.perf_counter()
-                served_v1 = [v1.get(doc_id) for doc_id in access_log]
-                v1_elapsed = time.perf_counter() - start
-            verified["v1_identical"] = served_v1 == expected
+                served_sequential = [client.get(doc_id) for doc_id in access_log]
+                sequential_elapsed = time.perf_counter() - start
+            verified["sequential_identical"] = served_sequential == expected
 
-            with RlzClient(host, port, pool_size=1) as v2:
+            with RlzClient(host, port, pool_size=1) as client:
                 start = time.perf_counter()
-                served_v2 = v2.pipelined_get(access_log, window=pipeline_window)
-                v2_elapsed = time.perf_counter() - start
-            verified["pipelined_identical"] = served_v2 == expected
+                served_pipelined = client.pipelined_get(
+                    access_log, window=pipeline_window
+                )
+                pipelined_elapsed = time.perf_counter() - start
+            verified["pipelined_identical"] = served_pipelined == expected
 
         # -- shard fan-out: ClusterClient over N replica servers ----------
         shard_runs = []
@@ -134,14 +136,16 @@ def cluster_benchmark(
                     except Exception:
                         pass
 
-    speedup = v1_elapsed / v2_elapsed if v2_elapsed > 0 else 0.0
+    speedup = sequential_elapsed / pipelined_elapsed if pipelined_elapsed > 0 else 0.0
     table = ResultTable(
         title="Cluster serving: pipelining and shard fan-out vs request/response",
-        headers=["Pipeline", "Seconds", "Requests/s", "Relative to v1 loop"],
+        headers=["Pipeline", "Seconds", "Requests/s", "Relative to sequential loop"],
     )
-    table.add_row("serve/v1-request-response-1-conn", v1_elapsed, rate(v1_elapsed), 1.0)
     table.add_row(
-        "serve/v2-pipelined-1-conn", v2_elapsed, rate(v2_elapsed), speedup
+        "serve/sequential-1-conn", sequential_elapsed, rate(sequential_elapsed), 1.0
+    )
+    table.add_row(
+        "serve/pipelined-1-conn", pipelined_elapsed, rate(pipelined_elapsed), speedup
     )
     runs_json = []
     for shards, elapsed in shard_runs:
@@ -149,21 +153,23 @@ def cluster_benchmark(
             f"serve/cluster-{shards}-shards",
             elapsed,
             rate(elapsed),
-            v1_elapsed / elapsed if elapsed > 0 else 0.0,
+            sequential_elapsed / elapsed if elapsed > 0 else 0.0,
         )
         runs_json.append(
             {
                 "shards": shards,
                 "seconds": elapsed,
                 "requests_per_s": rate(elapsed),
-                "relative_to_v1": v1_elapsed / elapsed if elapsed > 0 else 0.0,
+                "relative_to_sequential": (
+                    sequential_elapsed / elapsed if elapsed > 0 else 0.0
+                ),
             }
         )
 
     all_ok = all(verified.values())
     table.add_note(f"served bytes verified against corpus: {all_ok}")
     table.add_note(
-        f"pipelined 1-conn speedup over v1 request/response: {speedup:.2f}x "
+        f"pipelined 1-conn speedup over the sequential loop: {speedup:.2f}x "
         f"(window {pipeline_window})"
     )
     table.add_note(
@@ -184,10 +190,10 @@ def cluster_benchmark(
             "cache_capacity": cache_capacity,
             "pipeline_window": pipeline_window,
             "serve": {
-                "v1_seconds": v1_elapsed,
-                "v1_requests_per_s": rate(v1_elapsed),
-                "pipelined_seconds": v2_elapsed,
-                "pipelined_requests_per_s": rate(v2_elapsed),
+                "sequential_seconds": sequential_elapsed,
+                "sequential_requests_per_s": rate(sequential_elapsed),
+                "pipelined_seconds": pipelined_elapsed,
+                "pipelined_requests_per_s": rate(pipelined_elapsed),
                 "pipelined_speedup": speedup,
                 "cluster_runs": runs_json,
             },

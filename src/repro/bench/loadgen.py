@@ -15,7 +15,7 @@ coordinated-omission trap.
 The harness builds a GOV2-like corpus at one of three scales, packs it
 into an archive in a temporary directory, serves it from a live
 :class:`repro.serve.RlzServer` on a loopback socket, and drives it with a
-single multiplexed :class:`repro.serve.AsyncRlzClient` (the v2 protocol
+single multiplexed :class:`repro.serve.AsyncRlzClient` (the wire protocol
 pipelines concurrent requests over one connection).  Every response body
 is verified against the corpus.
 

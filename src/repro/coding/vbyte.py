@@ -27,14 +27,7 @@ _MAX_ARRAY_DIGITS = 9
 
 #: ``bytes.translate`` table giving each byte's 7-bit digit.
 _DIGITS = bytes(value & 0x7F for value in range(256))
-_TERMINATOR_BYTES = bytes(range(_TERMINATOR, 256))
 _CONTINUATION_RUN = re.compile(rb"[\x00-\x7f]+")
-
-#: A stream with at most one continuation byte per this many bytes is
-#: decoded without numpy.  Assembling one multi-byte codeword in Python
-#: costs ~0.7 us; at this share, on a ~800-value factor-length stream,
-#: that adds up to the whole numpy decode, so denser streams take it.
-_SPARSE_RATIO = 32
 
 
 def encode_vbyte(values: Iterable[int]) -> bytes:
@@ -63,19 +56,6 @@ def decode_vbyte(data: bytes, count: int | None = None) -> List[int]:
         holding fewer values raises :class:`DecodingError`.  When ``None``
         the whole buffer is decoded.  A truncated final codeword always
         raises.
-
-    A stream in which multi-byte codewords are rare (a factor-length
-    stream) is decoded by :func:`_decode_sparse`; any other stream by
-    :func:`decode_vbyte_array`.
-    """
-    continuation_bytes = len(data.translate(None, _TERMINATOR_BYTES))
-    if continuation_bytes * _SPARSE_RATIO > len(data):
-        return decode_vbyte_array(data, count).tolist()
-    return _decode_sparse(data, count)
-
-
-def _decode_sparse(data: bytes, count: int | None) -> List[int]:
-    """:func:`decode_vbyte` without numpy, for mostly single-byte streams.
 
     One ``bytes.translate`` yields every byte's 7-bit digit, so the
     single-byte codewords between two multi-byte ones enter the list as
@@ -109,6 +89,12 @@ def _decode_sparse(data: bytes, count: int | None) -> List[int]:
     return values
 
 
+def _decode_sparse(data: bytes, count: int | None) -> List[int]:
+    """The former sparse-stream path, now :func:`decode_vbyte` itself (the
+    decoder-parity tests still address it by this name)."""
+    return decode_vbyte(data, count)
+
+
 def decode_vbyte_array(data: bytes, count: int | None = None) -> np.ndarray:
     """Decode vbyte data into an integer array (contract of :func:`decode_vbyte`).
 
@@ -137,7 +123,7 @@ def decode_vbyte_array(data: bytes, count: int | None = None) -> np.ndarray:
     starts[1:] = ends[:-1] + 1
     widths = ends - starts + 1
     if int(widths.max()) > _MAX_ARRAY_DIGITS:
-        return as_int_array(_decode_sparse(raw.tobytes(), None))
+        return as_int_array(decode_vbyte(raw.tobytes()))
     shifts = 7 * (np.arange(raw.size) - np.repeat(starts, widths))
     return np.add.reduceat(digits << shifts, starts)
 

@@ -70,8 +70,8 @@ class ProtocolError(ReproError):
 class DeadlineExceededError(ReproError):
     """Raised when a request's deadline passed before its result arrived.
 
-    Deadlines propagate on the wire (protocol v3 tags every request with
-    a millisecond budget), so this is raised on *both* sides: the server
+    Deadlines propagate on the wire (every request frame carries a
+    millisecond budget), so this is raised on *both* sides: the server
     answers ``R_TIMEOUT`` for work whose deadline expired while queueing
     (instead of decoding a document nobody is waiting for), and clients
     raise it locally once the budget is spent — including time lost to
@@ -92,7 +92,7 @@ class ServerBusyError(ProtocolError):
 class WrongShardError(ReproError):
     """Raised when a request reached a server that does not own the doc id.
 
-    Partitioned servers (protocol v4) answer ``R_WRONG_SHARD`` instead of
+    Partitioned servers answer ``R_WRONG_SHARD`` instead of
     serving bytes for an arc they no longer own, carrying the epoch of
     their current shard map.  Cluster clients treat it as "refresh the
     shard map and retry against the owner", never as a data error: the

@@ -7,7 +7,7 @@ time and writes a :class:`PostingsStore` — an on-disk inverted index
 (varint-delta posting lists, doc-length table, CRC-checked sections,
 atomic tmp+fsync+replace writes like the RPRC2 container) that rides as a
 sidecar file next to the ``.rlz`` container it indexes.  Servers load the
-sidecar read-only and answer the protocol-v5 ``SEARCH`` opcode with
+sidecar read-only and answer the ``SEARCH`` opcode with
 doc-at-a-time BM25 ranking against it; cluster clients fan a query out to
 every shard, exchange global collection statistics so per-shard scores
 are *exactly* what one big index would compute, and merge the per-shard

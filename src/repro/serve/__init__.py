@@ -6,15 +6,15 @@ story cross the process boundary — and, with the cluster layer, the
 machine boundary:
 
 * :mod:`repro.serve.protocol` — the length-prefixed binary wire protocol:
-  framed request/response with opcodes for ``get``/``get_many``/
-  ``iter_documents``/``scan``/``stats``/``ping``, structured error frames
-  that round-trip every :mod:`repro.errors` class, and protocol version
-  negotiation.  Version 2 tags every frame with a request id, so replies
-  may arrive out of order — one connection carries a whole pipeline —
-  and the HELLO handshake names the archive to talk to;
+  one CRC-checked framing with opcodes for ``get``/``get_many``/``scan``/
+  ``stats``/``ping`` and structured error frames that round-trip every
+  :mod:`repro.errors` class.  Every frame carries a request id, so replies
+  may arrive out of order — one connection carries a whole pipeline — and
+  the HELLO handshake checks the protocol version and names the archive
+  to talk to;
 * :class:`RlzRouter` — many named archives (lazily opened, per-archive
   inflight gates and stats) behind one server;
-* :class:`RlzServer` — the asyncio server: per-connection stats, v2
+* :class:`RlzServer` — the asyncio server: per-connection stats,
   request pipelining with ``R_BUSY`` load shedding, graceful
   drain-then-cancel shutdown (:class:`BackgroundServer` runs it on a
   dedicated thread for synchronous callers);
@@ -22,19 +22,19 @@ machine boundary:
   same :class:`repro.api.ArchiveView` surface as a local
   :class:`repro.api.RlzArchive`, with connection pooling, retry,
   pipelined windows (:meth:`RlzClient.pipelined_get`), chunked bulk scans
-  and — async, on v2 — full single-connection multiplexing;
+  and — async — full single-connection multiplexing;
 * :class:`ClusterClient` — one ``ArchiveView`` over N endpoints:
   consistent-hash routing (:class:`ShardMap`), per-endpoint
   :class:`CircuitBreaker`\\ s, ordered ``get_many`` fan-out/fan-in and
   failover that keeps results byte-identical when a shard dies;
-* :mod:`repro.serve.retry` — the fault-tolerance primitives: protocol v3
-  propagates per-request **deadlines** (:class:`Deadline`) on the wire so
+* :mod:`repro.serve.retry` — the fault-tolerance primitives: request
+  frames propagate per-request **deadlines** (:class:`Deadline`) on the wire so
   servers drop expired work, every client retry draws from a shared
   token-bucket :class:`RetryBudget` so brownouts are not amplified, and
   ``R_BUSY`` replies carry queue depth + a retry-after hint honoured with
   jittered backoff.  ``ClusterClient`` can additionally *hedge* reads
   (``hedge_delay``) to cut the tail of one slow shard;
-* search serving (protocol v5): a ``SEARCH`` opcode ranks BM25 top-k
+* search serving: a ``SEARCH`` opcode ranks BM25 top-k
   against each shard's persistent posting-list sidecar
   (:class:`repro.search.serving.PostingsStore`), with optional
   query-biased snippets decoded through the store's windowed
@@ -42,7 +42,7 @@ machine boundary:
   :meth:`AsyncClusterClient.search` fan the query out to every shard,
   exchange global corpus statistics so sharded scores equal a
   single-index run exactly, and merge the per-shard top-k;
-* partitioned archives (protocol v4): :func:`build_partitioned_archives`
+* partitioned archives: :func:`build_partitioned_archives`
   splits one collection into per-shard stores that each hold *only* the
   doc ids their arc of the ring owns, servers refuse unowned ids with
   ``R_WRONG_SHARD`` (carrying the current map epoch) and answer
@@ -65,10 +65,6 @@ from .partition import build_partitioned_archives, write_spare_shard
 from .protocol import (
     ERROR_CODES,
     MAGIC,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    PROTOCOL_V4,
     PROTOCOL_V5,
     PROTOCOL_VERSION,
     Opcode,
@@ -90,10 +86,6 @@ __all__ = [
     "ERROR_CODES",
     "MAGIC",
     "Opcode",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_V3",
-    "PROTOCOL_V4",
     "PROTOCOL_V5",
     "PROTOCOL_VERSION",
     "RebalanceReport",

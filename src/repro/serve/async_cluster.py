@@ -31,7 +31,7 @@ from ..errors import (
 )
 from .client import AsyncRlzClient
 from .cluster import ShardMap, _FAILOVER_ERRORS
-from .protocol import PROTOCOL_V4, SearchHit
+from .protocol import SearchHit
 from .retry import RetryBudget
 
 __all__ = ["AsyncClusterClient"]
@@ -194,9 +194,6 @@ class AsyncClusterClient:
         if self._bootstrapped:
             return
         self._bootstrapped = True
-        version = self._client_options.get("protocol_version", PROTOCOL_V4)
-        if version < PROTOCOL_V4:
-            return
         try:
             await self.refresh_shard_map()
         except StoreClosedError:
@@ -362,7 +359,7 @@ class AsyncClusterClient:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Search (protocol v5)
+    # Search
     # ------------------------------------------------------------------
     async def search(
         self,

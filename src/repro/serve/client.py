@@ -8,8 +8,10 @@ get`` — runs unchanged whether it holds a local archive or a socket to an
 protocol's structured error frames: a remote miss raises the very same
 :class:`~repro.errors.StorageError` a local miss does.
 
-Both clients negotiate the protocol version at dial time.  Against a
-version-2 server every request carries a request id, which buys:
+Both clients handshake with the one protocol version at dial time (a
+peer announcing any other version is a
+:class:`~repro.errors.ProtocolError`).  Every request carries a request
+id, which buys:
 
 * **pipelining** — :meth:`RlzClient.pipelined_get` keeps a window of
   requests in flight on *one* connection and correlates the replies as
@@ -18,8 +20,7 @@ version-2 server every request carries a request id, which buys:
   on a socket;
 * **bulk scans** — :meth:`RlzClient.scan` streams ``R_CHUNK`` batches
   (many documents per frame, batched container decodes server-side)
-  instead of one ``get`` per document; ``iter_documents`` rides it
-  automatically on v2 connections;
+  instead of one ``get`` per document; ``iter_documents`` rides it;
 * **multiplexing** — :class:`AsyncRlzClient` shares one connection among
   every concurrent coroutine: a background reader resolves each tagged
   reply to the future that asked for it;
@@ -28,9 +29,8 @@ version-2 server every request carries a request id, which buys:
   queueing server-side, and surfaces to the cluster layer so it can
   re-route to a replica.
 
-Against a version-3 server both clients also speak the fault-tolerance
-extensions: every request frame carries the call's remaining **deadline**
-(the server drops work whose deadline expired while queueing and answers
+Every request frame also carries the call's remaining **deadline** (the
+server drops work whose deadline expired while queueing and answers
 ``R_TIMEOUT``, which surfaces here as
 :class:`~repro.errors.DeadlineExceededError`), ``R_BUSY`` payloads carry
 the server's queue depth and a **retry-after hint** that replaces blind
@@ -40,18 +40,14 @@ from a shared token-bucket :class:`~repro.serve.retry.RetryBudget`, so a
 browned-out server sees retry traffic capped at the budget's refill rate
 instead of multiplied by it.
 
-Against a version-1 server every path falls back to PR 4's strict
-request/response behaviour — the negotiation keeps old servers working.
-
-Both clients maintain a small **connection pool**: requests check a
+:class:`RlzClient` keeps a small **connection pool**: requests check a
 connection out, use it for one framed exchange (or one stream) and return
 it; concurrent requests above the pool's high-water mark dial extra
 connections that are closed instead of pooled on return.  Dialing (and
 re-dialing after a server restart) retries with a delay; because every
-request opcode is idempotent, a connection that dies mid-request is
-retried on a fresh connection up to ``retries`` times.  Protocol
-violations are never retried — the server told us something is
-structurally wrong.
+read opcode is idempotent, a connection that dies mid-request is retried
+on a fresh connection up to ``retries`` times.  Protocol violations are
+never retried — the server told us something is structurally wrong.
 """
 
 from __future__ import annotations
@@ -94,6 +90,44 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def _recv_reply(sock: socket.socket, max_frame_bytes: int) -> Tuple[int, int, bytes]:
+    """One reply frame as ``(opcode, request_id, payload)``, CRC-verified."""
+    length = protocol.frame_length(_recv_exact(sock, 4), max_frame_bytes)
+    return protocol.split_reply(_recv_exact(sock, length))
+
+
+async def _recv_reply_async(
+    reader: asyncio.StreamReader, max_frame_bytes: int
+) -> Tuple[int, int, bytes]:
+    """The asyncio twin of :func:`_recv_reply`."""
+    length = protocol.frame_length(await reader.readexactly(4), max_frame_bytes)
+    return protocol.split_reply(await reader.readexactly(length))
+
+
+def _hello_frame(archive: str) -> bytes:
+    """The HELLO request: request id 0, no deadline."""
+    return protocol.encode_request(
+        Opcode.HELLO, 0, 0, protocol.pack_hello(archive=archive)
+    )
+
+
+def _check_hello_reply(opcode: int, payload: bytes) -> None:
+    """Accept an ``R_HELLO`` carrying :data:`~repro.serve.protocol.PROTOCOL_VERSION`;
+    re-raise a handshake ``R_ERROR``; reject anything else."""
+    if opcode == Opcode.R_ERROR:
+        protocol.raise_error_frame(payload)
+    if opcode != Opcode.R_HELLO:
+        raise ProtocolError(
+            f"handshake expected R_HELLO, got {protocol.describe_opcode(opcode)}"
+        )
+    version = protocol.unpack_hello_reply(payload)
+    if version != protocol.PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"protocol version mismatch: server speaks {version}, "
+            f"client speaks {protocol.PROTOCOL_VERSION}"
+        )
+
+
 def _raise_wrong_shard(body: bytes) -> None:
     """Re-raise an ``R_WRONG_SHARD`` refusal as :class:`WrongShardError`.
 
@@ -109,13 +143,12 @@ def _raise_wrong_shard(body: bytes) -> None:
 
 
 class _SyncConnection:
-    """One negotiated socket: transport + version + request-id counter."""
+    """One handshaken socket: transport + request-id counter."""
 
-    __slots__ = ("sock", "version", "_next_id")
+    __slots__ = ("sock", "_next_id")
 
-    def __init__(self, sock: socket.socket, version: int) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.version = version
         self._next_id = 1
 
     def next_request_id(self) -> int:
@@ -150,12 +183,9 @@ class RlzClient:
     pool_size:
         How many idle connections to keep for reuse.  More may be open
         concurrently; the surplus is closed on return.
-    protocol_version:
-        Highest protocol version to announce (the server negotiates
-        down).  Pass ``1`` to force the legacy request/response protocol.
     deadline_ms:
         Default per-request deadline in milliseconds (0 = none).  The
-        remaining budget rides on every protocol-v3 request frame and
+        remaining budget rides on every request frame and
         bounds the client's own dials, retries and socket waits; per-call
         ``deadline_ms=`` arguments override it.
     retry_budget:
@@ -176,7 +206,6 @@ class RlzClient:
         busy_retries: int = 8,
         pool_size: int = 2,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        protocol_version: int = protocol.PROTOCOL_VERSION,
         deadline_ms: int = 0,
         retry_budget: Optional[RetryBudget] = None,
     ) -> None:
@@ -186,11 +215,6 @@ class RlzClient:
             raise ProtocolError("busy_retries must be non-negative")
         if pool_size < 1:
             raise ProtocolError("pool_size must be at least 1")
-        if not protocol.PROTOCOL_V1 <= protocol_version <= protocol.PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"protocol_version must be in "
-                f"[{protocol.PROTOCOL_V1}, {protocol.PROTOCOL_VERSION}]"
-            )
         self._host = host
         self._port = port
         self._archive = archive
@@ -200,7 +224,6 @@ class RlzClient:
         self._busy_retries = busy_retries
         self._pool_size = pool_size
         self._max_frame_bytes = max_frame_bytes
-        self._protocol_version = protocol_version
         if deadline_ms < 0:
             raise ProtocolError("deadline_ms must be non-negative")
         self._deadline_ms = deadline_ms
@@ -220,27 +243,10 @@ class RlzClient:
         )
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._send(
-                sock,
-                protocol.encode_frame(
-                    Opcode.HELLO,
-                    protocol.pack_hello(self._protocol_version, self._archive),
-                ),
-            )
-            opcode, payload = self._read_frame(sock)
-            if opcode == Opcode.R_ERROR:
-                protocol.raise_error_frame(payload)
-            if opcode != Opcode.R_HELLO:
-                raise ProtocolError(
-                    f"handshake expected R_HELLO, got {protocol.describe_opcode(opcode)}"
-                )
-            version = protocol.checked_version(protocol.unpack_hello_reply(payload))
-            if version > self._protocol_version:
-                raise ProtocolError(
-                    f"protocol version mismatch: server selected {version}, "
-                    f"client asked for at most {self._protocol_version}"
-                )
-            return _SyncConnection(sock, version)
+            sock.sendall(_hello_frame(self._archive))
+            opcode, _, payload = _recv_reply(sock, self._max_frame_bytes)
+            _check_hello_reply(opcode, payload)
+            return _SyncConnection(sock)
         except BaseException:
             sock.close()
             raise
@@ -272,19 +278,18 @@ class RlzClient:
         return Deadline.from_ms(deadline_ms)
 
     @staticmethod
-    def _encode_request(
+    def _send_request(
         conn: _SyncConnection,
         opcode: int,
-        request_id: int,
         payload: bytes,
         deadline: Optional[Deadline],
-    ) -> bytes:
-        """A request frame in the connection's negotiated framing (v3
-        frames carry the call's remaining deadline budget)."""
-        if conn.version >= protocol.PROTOCOL_V3:
-            wire_ms = deadline.wire_ms() if deadline is not None else 0
-            return protocol.encode_frame3(opcode, request_id, wire_ms, payload)
-        return protocol.encode_frame2(opcode, request_id, payload)
+    ) -> int:
+        """Send one request frame carrying the call's remaining deadline
+        budget; returns its request id."""
+        request_id = conn.next_request_id()
+        wire_ms = deadline.wire_ms() if deadline is not None else 0
+        conn.sock.sendall(protocol.encode_request(opcode, request_id, wire_ms, payload))
+        return request_id
 
     def _checkout(self, deadline: Optional[Deadline] = None) -> _SyncConnection:
         with self._pool_lock:
@@ -299,24 +304,8 @@ class RlzClient:
                 return
         conn.close()
 
-    @staticmethod
-    def _send(sock: socket.socket, frame: bytes) -> None:
-        sock.sendall(frame)
-
-    def _read_frame(self, sock: socket.socket) -> Tuple[int, bytes]:
-        prefix = _recv_exact(sock, 4)
-        length = protocol.frame_length(prefix, self._max_frame_bytes)
-        return protocol.split_frame(_recv_exact(sock, length))
-
-    def _read_frame2(self, conn: "_SyncConnection") -> Tuple[int, int, bytes]:
-        """One reply frame in the connection's negotiated framing (v3
-        replies carry — and are verified against — a trailing CRC32)."""
-        prefix = _recv_exact(conn.sock, 4)
-        length = protocol.frame_length(prefix, self._max_frame_bytes)
-        body = _recv_exact(conn.sock, length)
-        if conn.version >= protocol.PROTOCOL_V3:
-            return protocol.split_reply3(body)
-        return protocol.split_frame2(body)
+    def _read_reply(self, conn: _SyncConnection) -> Tuple[int, int, bytes]:
+        return _recv_reply(conn.sock, self._max_frame_bytes)
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -335,30 +324,22 @@ class RlzClient:
         expect: int,
         deadline: Optional[Deadline] = None,
     ) -> bytes:
-        """One exchange on an already-negotiated connection.
+        """One exchange on an already-handshaken connection.
 
         Raises the transported error for ``R_ERROR`` replies; retries
         ``R_BUSY`` with backoff (honouring the server's retry-after hint
         and spending the retry budget).  Connection-level failures
         propagate for the caller's retry loop.
         """
-        if conn.version < 2:
-            self._send(conn.sock, protocol.encode_frame(opcode, payload))
-            reply, body = self._read_frame(conn.sock)
-            return self._check_reply(reply, body, expect)
         delay = self._retry_delay
         for busy in range(self._busy_retries + 1):
             if deadline is not None:
                 deadline.check()
                 # Never wait on the socket past the call's deadline.
                 conn.sock.settimeout(min(self._timeout, deadline.remaining()))
-            request_id = conn.next_request_id()
             try:
-                self._send(
-                    conn.sock,
-                    self._encode_request(conn, opcode, request_id, payload, deadline),
-                )
-                reply, reply_id, body = self._read_frame2(conn)
+                request_id = self._send_request(conn, opcode, payload, deadline)
+                reply, reply_id, body = self._read_reply(conn)
             except socket.timeout:
                 if deadline is not None and deadline.expired:
                     raise DeadlineExceededError(
@@ -476,8 +457,7 @@ class RlzClient:
         replies by request id as they arrive — out of order included — so
         the cost per document approaches server work instead of one full
         round-trip each, which is what makes a single socket competitive
-        with local access.  Falls back to a sequential loop when the
-        server only speaks protocol version 1.  Returns documents in
+        with local access.  Returns documents in
         request order (duplicates preserved); a connection that dies
         mid-pipeline is retried on a fresh one for the still-unanswered
         documents only.
@@ -493,8 +473,6 @@ class RlzClient:
         delay = self._retry_delay
         for attempt in range(self._retries + 1):
             conn = self._checkout(deadline)
-            if conn.version < 2:
-                return self._sequential_get(conn, doc_ids, results)
             try:
                 self._pipeline_on(conn, doc_ids, results, window, deadline)
             except DeadlineExceededError:
@@ -522,20 +500,6 @@ class RlzClient:
             return results
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _sequential_get(
-        self, conn: _SyncConnection, doc_ids: Sequence[int], results: List
-    ) -> List[bytes]:
-        """The v1 fallback: request/response per still-missing document."""
-        try:
-            self._checkin(conn)  # _request manages its own connections
-        except BaseException:
-            conn.close()
-            raise
-        for index, doc_id in enumerate(doc_ids):
-            if results[index] is _UNSET:
-                results[index] = self.get(doc_id)
-        return results
-
     def _pipeline_on(
         self,
         conn: _SyncConnection,
@@ -544,7 +508,7 @@ class RlzClient:
         window: int,
         deadline: Optional[Deadline] = None,
     ) -> None:
-        """Run the pipelined window on one v2 connection, filling ``results``.
+        """Run the pipelined window on one connection, filling ``results``.
 
         On connection failure, everything already in ``results`` stays —
         the retry resends only the unanswered documents.
@@ -560,20 +524,12 @@ class RlzClient:
                 conn.sock.settimeout(min(self._timeout, deadline.remaining()))
             while to_send and len(pending) < window:
                 index = to_send.popleft()
-                request_id = conn.next_request_id()
-                pending[request_id] = index
-                self._send(
-                    conn.sock,
-                    self._encode_request(
-                        conn,
-                        Opcode.GET,
-                        request_id,
-                        protocol.pack_doc_id(doc_ids[index]),
-                        deadline,
-                    ),
+                request_id = self._send_request(
+                    conn, Opcode.GET, protocol.pack_doc_id(doc_ids[index]), deadline
                 )
+                pending[request_id] = index
             try:
-                reply, reply_id, body = self._read_frame2(conn)
+                reply, reply_id, body = self._read_reply(conn)
             except socket.timeout:
                 if deadline is not None and deadline.expired:
                     raise DeadlineExceededError(
@@ -658,18 +614,10 @@ class RlzClient:
         decodes ``chunk_docs`` documents per batched container read
         (0 = server default) and ships each batch as one frame, so a full
         export costs a handful of round trips instead of one per document.
-        Falls back to per-document ``get``\\ s against v1 servers.
         """
         self._ensure_open()
         requested = list(doc_ids) if doc_ids is not None else None
-        conn = self._checkout()
-        if conn.version < 2:
-            self._checkin(conn)
-            ids = requested if requested is not None else self.doc_ids()
-            for doc_id in ids:
-                yield doc_id, self.get(doc_id)
-            return
-        yield from self._scan_stream(conn, requested, chunk_docs)
+        yield from self._scan_stream(self._checkout(), requested, chunk_docs)
 
     def _scan_stream(
         self,
@@ -682,18 +630,10 @@ class RlzClient:
         try:
             delay = self._retry_delay
             for busy in range(self._busy_retries + 1):
-                request_id = conn.next_request_id()
-                self._send(
-                    conn.sock,
-                    self._encode_request(
-                        conn,
-                        Opcode.SCAN,
-                        request_id,
-                        protocol.pack_scan(chunk_docs, doc_ids),
-                        None,
-                    ),
+                request_id = self._send_request(
+                    conn, Opcode.SCAN, protocol.pack_scan(chunk_docs, doc_ids), None
                 )
-                reply, reply_id, body = self._read_frame2(conn)
+                reply, reply_id, body = self._read_reply(conn)
                 if reply == Opcode.R_ERROR and reply_id == 0:
                     protocol.raise_error_frame(body)  # connection-level error
                 if reply_id != request_id:
@@ -735,7 +675,7 @@ class RlzClient:
                     started = True
                     for item in protocol.unpack_chunk(body):
                         yield item
-                    reply, reply_id, body = self._read_frame2(conn)
+                    reply, reply_id, body = self._read_reply(conn)
                     if reply == Opcode.R_ERROR and reply_id == 0:
                         protocol.raise_error_frame(body)  # connection-level
                     if reply_id != request_id:
@@ -753,43 +693,8 @@ class RlzClient:
                 conn.close()
 
     def iter_documents(self) -> Iterator[Tuple[int, bytes]]:
-        """Stream every document; one connection is held for the scan.
-
-        Rides the chunked SCAN opcode on protocol-v2 connections and the
-        legacy one-frame-per-document ITER stream on v1.
-        """
-        self._ensure_open()
-        conn = self._checkout()
-        if conn.version >= 2:
-            yield from self._scan_stream(conn, None, 0)
-            return
-        clean = False
-        try:
-            self._send(conn.sock, protocol.encode_frame(Opcode.ITER))
-            while True:
-                opcode, payload = self._read_frame(conn.sock)
-                if opcode == Opcode.R_END:
-                    clean = True
-                    return
-                if opcode == Opcode.R_ERROR:
-                    try:
-                        protocol.raise_error_frame(payload)
-                    except ProtocolError:
-                        raise  # server closed the connection: do not pool
-                    except BaseException:
-                        clean = True  # framing intact: connection reusable
-                        raise
-                if opcode != Opcode.R_ITEM:
-                    raise ProtocolError(
-                        f"stream expected R_ITEM/R_END, got "
-                        f"{protocol.describe_opcode(opcode)}"
-                    )
-                yield protocol.unpack_item(payload)
-        finally:
-            if clean:
-                self._checkin(conn)
-            else:
-                conn.close()
+        """Stream every document in store order over one chunked SCAN."""
+        yield from self.scan()
 
     def doc_ids(self) -> List[int]:
         """All stored document IDs (cached: archives are immutable)."""
@@ -811,7 +716,7 @@ class RlzClient:
         """Per-archive readiness/load from the server's HEALTH opcode.
 
         Served without queueing at the inflight gate, so it answers even
-        while the server is saturated (requires a protocol-v3 server).
+        while the server is saturated.
         """
         return protocol.unpack_health(
             self._request(Opcode.HEALTH, b"", Opcode.R_HEALTH)
@@ -824,7 +729,7 @@ class RlzClient:
         return time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    # Search (protocol v5)
+    # Search
     # ------------------------------------------------------------------
     def search(
         self,
@@ -875,7 +780,7 @@ class RlzClient:
         return protocol.unpack_search_stats(body)
 
     # ------------------------------------------------------------------
-    # Partitioned fleets (protocol v4)
+    # Partitioned fleets
     # ------------------------------------------------------------------
     def shard_map(self) -> Tuple[int, List[str], int]:
         """The server's current shard map: ``(epoch, labels, virtual_nodes)``.
@@ -968,22 +873,18 @@ class RlzClient:
 
 
 class _AsyncConnection:
-    """One negotiated asyncio connection, optionally multiplexed.
+    """One handshaken asyncio connection, multiplexed.
 
-    On protocol v2 a background reader resolves every tagged reply to the
-    future registered for its request id, so any number of coroutines
-    share this one transport.
+    A background reader resolves every tagged reply to the future
+    registered for its request id, so any number of coroutines share this
+    one transport.
     """
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        version: int,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.version = version
         self.futures: Dict[int, "asyncio.Future[Tuple[int, bytes]]"] = {}
         self.reader_task: Optional[asyncio.Task] = None
         self.dead = False
@@ -1022,12 +923,10 @@ class AsyncRlzClient:
     ``get_many`` / ``gather``, plus ``stats``/``ping``/``doc_ids``), so an
     async serving stack can swap a local front for a remote one.
 
-    Against a protocol-v2 server every concurrent coroutine multiplexes
-    over **one** connection: requests are tagged with ids, a background
-    reader dispatches the (possibly out-of-order) replies, and ``R_BUSY``
-    hints are retried with backoff.  Against a v1 server the PR-4
-    connection pool and strict request/response exchange are used
-    unchanged.
+    Every concurrent coroutine multiplexes over **one** connection:
+    requests are tagged with ids, a background reader dispatches the
+    (possibly out-of-order) replies, and ``R_BUSY`` hints are retried with
+    backoff.  A dead connection is re-dialed by the next request.
     """
 
     def __init__(
@@ -1039,9 +938,7 @@ class AsyncRlzClient:
         retries: int = 3,
         retry_delay: float = 0.05,
         busy_retries: int = 8,
-        pool_size: int = 2,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        protocol_version: int = protocol.PROTOCOL_VERSION,
         deadline_ms: int = 0,
         retry_budget: Optional[RetryBudget] = None,
     ) -> None:
@@ -1049,13 +946,6 @@ class AsyncRlzClient:
             raise ProtocolError("retries must be non-negative")
         if busy_retries < 0:
             raise ProtocolError("busy_retries must be non-negative")
-        if pool_size < 1:
-            raise ProtocolError("pool_size must be at least 1")
-        if not protocol.PROTOCOL_V1 <= protocol_version <= protocol.PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"protocol_version must be in "
-                f"[{protocol.PROTOCOL_V1}, {protocol.PROTOCOL_VERSION}]"
-            )
         if deadline_ms < 0:
             raise ProtocolError("deadline_ms must be non-negative")
         self._host = host
@@ -1065,29 +955,23 @@ class AsyncRlzClient:
         self._retries = retries
         self._retry_delay = retry_delay
         self._busy_retries = busy_retries
-        self._pool_size = pool_size
         self._max_frame_bytes = max_frame_bytes
-        self._protocol_version = protocol_version
         self._deadline_ms = deadline_ms
         self._budget = retry_budget if retry_budget is not None else RetryBudget()
-        self._pool: List[_AsyncConnection] = []
         self._mux: Optional[_AsyncConnection] = None
         # Created lazily inside a coroutine: asyncio primitives must bind
         # the running loop (pre-3.10 they grab get_event_loop() eagerly,
         # which breaks clients constructed outside asyncio.run()).
-        self._pool_guard: Optional[asyncio.Lock] = None
+        self._mux_guard: Optional[asyncio.Lock] = None
         self._closed = False
         self._doc_ids: Optional[List[int]] = None
         self._busy_seen = 0
-        #: Learned at the first successful dial; routes later requests to
-        #: the mux (v2) or the pool (v1) without re-negotiating.
-        self._server_version: Optional[int] = None
 
     @property
-    def _pool_lock(self) -> asyncio.Lock:
-        if self._pool_guard is None:
-            self._pool_guard = asyncio.Lock()
-        return self._pool_guard
+    def _mux_lock(self) -> asyncio.Lock:
+        if self._mux_guard is None:
+            self._mux_guard = asyncio.Lock()
+        return self._mux_guard
 
     # ------------------------------------------------------------------
     # Connection management
@@ -1097,58 +981,40 @@ class AsyncRlzClient:
             asyncio.open_connection(self._host, self._port), self._timeout
         )
         try:
-            writer.write(
-                protocol.encode_frame(
-                    Opcode.HELLO,
-                    protocol.pack_hello(self._protocol_version, self._archive),
-                )
-            )
+            writer.write(_hello_frame(self._archive))
             await writer.drain()
-            opcode, payload = await self._read_frame(reader)
-            if opcode == Opcode.R_ERROR:
-                protocol.raise_error_frame(payload)
-            if opcode != Opcode.R_HELLO:
-                raise ProtocolError(
-                    f"handshake expected R_HELLO, got {protocol.describe_opcode(opcode)}"
+            try:
+                opcode, _, payload = await asyncio.wait_for(
+                    _recv_reply_async(reader, self._max_frame_bytes), self._timeout
                 )
-            version = protocol.checked_version(protocol.unpack_hello_reply(payload))
-            if version > self._protocol_version:
-                raise ProtocolError(
-                    f"protocol version mismatch: server selected {version}, "
-                    f"client asked for at most {self._protocol_version}"
-                )
-            return _AsyncConnection(reader, writer, version)
+            except asyncio.IncompleteReadError as exc:
+                raise ConnectionError(f"connection closed mid-frame: {exc}") from exc
+            _check_hello_reply(opcode, payload)
+            return _AsyncConnection(reader, writer)
         except BaseException:
             writer.close()
             raise
 
     async def _mux_connection(self) -> _AsyncConnection:
         """The shared multiplexed connection (dial or revive as needed)."""
-        async with self._pool_lock:
+        async with self._mux_lock:
             if self._closed:
                 raise StoreClosedError(
                     f"client for {self._host}:{self._port} is closed"
                 )
-            if self._mux is not None and not self._mux.dead:
-                return self._mux
-            conn = await self._dial_once()
-            self._server_version = conn.version
-            if conn.version >= 2:
+            if self._mux is None or self._mux.dead:
+                conn = await self._dial_once()
                 conn.reader_task = asyncio.ensure_future(self._mux_reader(conn))
                 self._mux = conn
-            return conn
+            return self._mux
 
     async def _mux_reader(self, conn: _AsyncConnection) -> None:
         """Dispatch tagged replies to their futures until the peer goes."""
         try:
             while True:
-                prefix = await conn.reader.readexactly(4)
-                length = protocol.frame_length(prefix, self._max_frame_bytes)
-                body = await conn.reader.readexactly(length)
-                if conn.version >= protocol.PROTOCOL_V3:
-                    opcode, request_id, payload = protocol.split_reply3(body)
-                else:
-                    opcode, request_id, payload = protocol.split_frame2(body)
+                opcode, request_id, payload = await _recv_reply_async(
+                    conn.reader, self._max_frame_bytes
+                )
                 if opcode == Opcode.R_ERROR and request_id == 0:
                     # Connection-level error: fail every in-flight request
                     # with the server's actual complaint.
@@ -1168,42 +1034,6 @@ class AsyncRlzClient:
             conn.kill(ConnectionError(f"connection lost: {exc}"))
         except Exception as exc:  # pragma: no cover - defensive
             conn.kill(ConnectionError(f"reader failed: {exc}"))
-
-    async def _checkout(self) -> _AsyncConnection:
-        async with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-        return await self._dial()
-
-    async def _dial(self) -> _AsyncConnection:
-        # Full-jittered exponential backoff — same herd-spreading argument
-        # as the synchronous client's _dial.
-        delay = self._retry_delay
-        for attempt in range(self._retries + 1):
-            try:
-                return await self._dial_once()
-            except (ConnectionError, asyncio.TimeoutError, OSError):
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                await asyncio.sleep(full_jitter(delay))
-                delay *= 2
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _checkin(self, conn: _AsyncConnection) -> None:
-        async with self._pool_lock:
-            if not self._closed and len(self._pool) < self._pool_size:
-                self._pool.append(conn)
-                return
-        conn.writer.close()
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-        try:
-            prefix = await asyncio.wait_for(reader.readexactly(4), self._timeout)
-            length = protocol.frame_length(prefix, self._max_frame_bytes)
-            body = await asyncio.wait_for(reader.readexactly(length), self._timeout)
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionError(f"connection closed mid-frame: {exc}") from exc
-        return protocol.split_frame(body)
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -1233,47 +1063,13 @@ class AsyncRlzClient:
         deadline = self._deadline_for(deadline_ms)
         delay = self._retry_delay
         for attempt in range(self._retries + 1):
+            conn = None
             try:
-                if self._server_version == protocol.PROTOCOL_V1:
-                    conn = await self._checkout()
-                    if conn.version >= 2:
-                        # The server was replaced by a v2 one mid-life:
-                        # this conn has no mux reader, so re-route through
-                        # the mux path on the next attempt.
-                        conn.writer.close()
-                        self._server_version = None
-                        continue
-                else:
-                    conn = await self._mux_connection()
+                conn = await self._mux_connection()
+                reply, body = await self._mux_exchange(conn, opcode, payload, deadline)
             except (ConnectionError, asyncio.TimeoutError, OSError):
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                if deadline is not None:
-                    deadline.check()
-                await asyncio.sleep(full_jitter(delay))
-                delay *= 2
-                continue
-            if conn.version >= 2:
-                try:
-                    reply, body = await self._mux_exchange(
-                        conn, opcode, payload, deadline
-                    )
-                except (ConnectionError, asyncio.TimeoutError, OSError):
+                if conn is not None:
                     conn.kill()
-                    if attempt == self._retries or not self._budget.spend():
-                        raise
-                    if deadline is not None:
-                        deadline.check()
-                    await asyncio.sleep(full_jitter(delay))
-                    delay *= 2
-                    continue
-                return self._check_reply(reply, body, expect)
-            # v1 server: the mux dial handed back a plain connection; run
-            # the legacy exclusive request/response exchange on it.
-            try:
-                body = await self._v1_exchange(conn, opcode, payload, expect)
-            except (ConnectionError, asyncio.TimeoutError, OSError):
-                conn.writer.close()
                 if attempt == self._retries or not self._budget.spend():
                     raise
                 if deadline is not None:
@@ -1281,7 +1077,7 @@ class AsyncRlzClient:
                 await asyncio.sleep(full_jitter(delay))
                 delay *= 2
                 continue
-            return body
+            return self._check_reply(reply, body, expect)
         raise AssertionError("unreachable")  # pragma: no cover
 
     async def _mux_exchange(
@@ -1304,12 +1100,10 @@ class AsyncRlzClient:
             future: "asyncio.Future[Tuple[int, bytes]]" = loop.create_future()
             conn.futures[request_id] = future
             try:
-                if conn.version >= protocol.PROTOCOL_V3:
-                    wire_ms = deadline.wire_ms() if deadline is not None else 0
-                    frame = protocol.encode_frame3(opcode, request_id, wire_ms, payload)
-                else:
-                    frame = protocol.encode_frame2(opcode, request_id, payload)
-                conn.writer.write(frame)
+                wire_ms = deadline.wire_ms() if deadline is not None else 0
+                conn.writer.write(
+                    protocol.encode_request(opcode, request_id, wire_ms, payload)
+                )
                 await conn.writer.drain()
                 reply, body = await asyncio.wait_for(future, wait)
             except asyncio.TimeoutError:
@@ -1340,30 +1134,6 @@ class AsyncRlzClient:
                 continue
             return reply, body
         raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _v1_exchange(
-        self, conn: _AsyncConnection, opcode: int, payload: bytes, expect: int
-    ) -> bytes:
-        conn.writer.write(protocol.encode_frame(opcode, payload))
-        await conn.writer.drain()
-        reply, body = await self._read_frame(conn.reader)
-        if reply == Opcode.R_ERROR:
-            try:
-                protocol.raise_error_frame(body)
-            except ProtocolError:
-                conn.writer.close()  # server closed its side: do not pool
-                raise
-            except BaseException:
-                await self._checkin(conn)
-                raise
-        if reply != expect:
-            conn.writer.close()
-            raise ProtocolError(
-                f"expected {protocol.describe_opcode(expect)}, "
-                f"got {protocol.describe_opcode(reply)}"
-            )
-        await self._checkin(conn)
-        return body
 
     @staticmethod
     def _check_reply(reply: int, body: bytes, expect: int) -> bytes:
@@ -1401,12 +1171,8 @@ class AsyncRlzClient:
         return documents
 
     async def gather(self, doc_ids: Sequence[int]) -> List[bytes]:
-        """Fan per-document requests out concurrently.
-
-        On protocol v2 every request multiplexes over the one shared
-        connection (tagged ids, out-of-order replies); on v1 concurrency
-        comes from the connection pool plus extra dials.
-        """
+        """Fan per-document requests out concurrently, every one
+        multiplexed over the shared connection."""
         return list(await asyncio.gather(*(self.get(doc_id) for doc_id in doc_ids)))
 
     async def doc_ids(self) -> List[int]:
@@ -1432,7 +1198,7 @@ class AsyncRlzClient:
         return time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    # Search (protocol v5)
+    # Search
     # ------------------------------------------------------------------
     async def search(
         self,
@@ -1469,7 +1235,7 @@ class AsyncRlzClient:
         return protocol.unpack_search_stats(body)
 
     # ------------------------------------------------------------------
-    # Partitioned fleets (protocol v4)
+    # Partitioned fleets
     # ------------------------------------------------------------------
     async def shard_map(self) -> Tuple[int, List[str], int]:
         """The server's shard map ``(epoch, labels, virtual_nodes)``."""
@@ -1528,20 +1294,13 @@ class AsyncRlzClient:
         return self._budget
 
     async def close(self) -> None:
-        async with self._pool_lock:
+        async with self._mux_lock:
             self._closed = True
-            pool, self._pool = self._pool, []
             mux, self._mux = self._mux, None
         if mux is not None:
             mux.kill(StoreClosedError("client closed"))
             try:
                 await mux.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        for conn in pool:
-            conn.writer.close()
-            try:
-                await conn.writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 

@@ -51,7 +51,7 @@ from ..errors import (
     WrongShardError,
 )
 from .client import RlzClient
-from .protocol import PROTOCOL_V4, SearchHit
+from .protocol import SearchHit
 from .retry import RetryBudget
 
 __all__ = ["CircuitBreaker", "ClusterClient", "ShardMap"]
@@ -335,7 +335,7 @@ class ClusterClient:
         a default shared bucket).
     client_options:
         Extra keyword arguments for every underlying :class:`RlzClient`
-        (``timeout``, ``retries``, ``protocol_version``, ...).
+        (``timeout``, ``retries``, ``deadline_ms``, ...).
     """
 
     def __init__(
@@ -533,16 +533,13 @@ class ClusterClient:
         """One-time lazy shard-map bootstrap from any reachable endpoint.
 
         Partitioned servers announce an epoch ≥ 1; replica servers answer
-        epoch 0 and the static map stands.  Pre-v4 peers (or an entirely
-        unreachable fleet) leave the static map in place too — bootstrap
-        is an upgrade, never a precondition.
+        epoch 0 and the static map stands.  An entirely unreachable fleet
+        leaves the static map in place too — bootstrap is an upgrade,
+        never a precondition.
         """
         if self._bootstrapped:
             return
         self._bootstrapped = True
-        version = self._client_options.get("protocol_version", PROTOCOL_V4)
-        if version < PROTOCOL_V4:
-            return
         try:
             self.refresh_shard_map()
         except StoreClosedError:
@@ -1076,7 +1073,7 @@ class ClusterClient:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Search (protocol v5)
+    # Search
     # ------------------------------------------------------------------
     def search(
         self,

@@ -3,74 +3,61 @@
 Framing
 -------
 
-Every message on the wire is one *frame*.  Version 1 frames the opcode and
-payload directly::
-
-    +----------------+--------+-----------------+
-    | length (u32 BE)| opcode |   payload ...   |
-    +----------------+--------+-----------------+
-
-Version 2 inserts a **u32 request id** between the opcode and the payload,
-so replies can arrive out of order and a single connection can carry many
-requests in flight (pipelining / multiplexing).  Clients allocate ids from
-1; **id 0 is reserved** for connection-level ``R_ERROR`` frames the server
-cannot attribute to a single request (e.g. an oversized frame rejected
-before its id was read)::
-
-    +----------------+--------+------------------+-----------------+
-    | length (u32 BE)| opcode | request id (u32) |   payload ...   |
-    +----------------+--------+------------------+-----------------+
-
-Version 3 adds a **u32 deadline** (milliseconds of budget remaining when
-the frame was sent; 0 = no deadline) to every *request* frame, so the
-server can drop work whose deadline already passed instead of decoding
-documents nobody is waiting for (``R_TIMEOUT``), and a trailing **u32
-CRC32** over the frame body to *every* frame in both directions, so a
-flipped bit on the wire surfaces as a :class:`~repro.errors.ProtocolError`
-instead of silently wrong document bytes.  Responses carry the checksum
-but not the deadline::
+Every message on the wire is one *frame*.  A request frame carries the
+opcode, a **u32 request id**, a **u32 deadline** (milliseconds of budget
+remaining when the frame was sent; 0 = no deadline) and a trailing **u32
+CRC32** over the frame body; a reply frame is the same without the
+deadline::
 
     request:
     +----------------+--------+------------------+----------------+---------+-------------+
     | length (u32 BE)| opcode | request id (u32) | deadline (u32) | payload | crc32 (u32) |
     +----------------+--------+------------------+----------------+---------+-------------+
 
-    response:
+    reply:
     +----------------+--------+------------------+-----------------+-------------+
     | length (u32 BE)| opcode | request id (u32) |   payload ...   | crc32 (u32) |
     +----------------+--------+------------------+-----------------+-------------+
 
 ``length`` counts everything after the prefix, so a frame occupies
-``4 + length`` bytes in every version.  Frames larger than the negotiated
-``max_frame_bytes`` are rejected with :class:`~repro.errors.ProtocolError`
-*before* the payload is read, on both sides.
+``4 + length`` bytes.  Frames larger than ``max_frame_bytes`` are rejected
+with :class:`~repro.errors.ProtocolError` *before* the payload is read, on
+both sides, and a body whose CRC32 does not match surfaces as a
+``ProtocolError`` instead of silently wrong document bytes.
 
-A connection starts with a handshake, always spoken in **version-1
-framing** (neither side knows the negotiated version yet): the client
-sends ``HELLO`` carrying the 4-byte magic ``RLZN``, the highest protocol
-version it speaks and — from version 2 — the *name* of the archive it
-wants (empty selects the server's default); the server answers ``R_HELLO``
-with the version it selected (``min(client, server)``, see
-:func:`negotiate_version`) or an error frame if the magic, version or
-archive name is unacceptable.  Every frame after the handshake uses the
-negotiated version's framing.
+Request ids let replies arrive out of order, so one connection carries
+many requests in flight.  Clients allocate ids from 1; **id 0 is
+reserved** for the handshake and for connection-level ``R_ERROR`` frames
+the server cannot attribute to a single request (e.g. an oversized frame
+rejected before its id was read).  The deadline lets the server drop work
+whose deadline passed while it queued (``R_TIMEOUT``) instead of decoding
+documents nobody is waiting for.
 
-After the handshake the client issues request frames and reads response
-frames; ``ITER`` and ``SCAN`` are the streaming opcodes (``R_ITEM`` /
-``R_CHUNK`` sequences terminated by ``R_END``; under version 2 every
-stream frame carries the request id of the originating request, so stream
-frames and ordinary replies can interleave on one connection).  ``R_BUSY``
-is the backpressure hint: the server's ``max_inflight`` gate is saturated
-and the client should retry the request after a short delay (every request
-opcode is idempotent).  From version 3 the R_BUSY payload carries the
-server-observed queue depth and a suggested retry-after (see
-:func:`pack_busy`) so client backoff is proportional instead of blind,
-``HEALTH`` reports per-archive readiness/load without competing for the
-inflight gate, and ``R_TIMEOUT`` answers a request whose deadline expired
-server-side (decoding work for it never starts).
+Handshake
+---------
 
-Version 4 keeps the version-3 framing unchanged and adds the
-*partitioned-serving* opcodes.  ``SHARD_MAP`` asks a server for its
+A connection starts with ``HELLO``: a request frame with request id 0 and
+deadline 0 whose payload is the 4-byte magic ``RLZN``, the protocol
+version and the *name* of the archive the client wants (empty selects the
+server's default).  The server answers ``R_HELLO`` carrying its version,
+or ``R_ERROR`` — both reply frames with request id 0 — if the magic,
+version or archive name is unacceptable.  Both sides require the peer's
+version to equal :data:`PROTOCOL_VERSION`; anything else is a
+:class:`~repro.errors.ProtocolError` and the connection closes.
+
+Opcodes
+-------
+
+``SCAN`` streams ``R_CHUNK`` frames (many documents each) terminated by
+``R_END``, every stream frame tagged with the originating request id so
+stream frames and ordinary replies interleave on one connection.
+``R_BUSY`` is the backpressure hint: the server's ``max_inflight`` gate is
+saturated and the client should retry after a short delay (every read
+opcode is idempotent); its payload carries the server-observed queue depth
+and a suggested retry-after (see :func:`pack_busy`).  ``HEALTH`` reports
+per-archive readiness/load without competing for the inflight gate.
+
+The *partitioned-serving* opcodes: ``SHARD_MAP`` asks a server for its
 current placement map — epoch, endpoint list and ``virtual_nodes`` — and
 is answered (``R_SHARD_MAP``) outside the backpressure gate like
 ``HEALTH``, so clients can bootstrap and refresh routing even from a
@@ -85,11 +72,10 @@ staged so far, and ``INSTALL_MAP`` (payload = :func:`pack_shard_map`)
 commits a new map epoch — the server recomputes its owned arc, rewrites
 its store, and answers ``R_SHARD_MAP`` with the map it now serves.
 
-Version 5 keeps the framing unchanged again and adds the *search-serving*
-opcode.  ``SEARCH`` carries a query string, the requested ``top_k``, a
-snippet window size in bytes and a flags byte; the server ranks its
-shard-local :class:`~repro.search.serving.PostingsStore` with
-doc-at-a-time BM25 and answers ``R_SEARCH`` with scored hits (plus a
+The *search-serving* opcode: ``SEARCH`` carries a query string, the
+requested ``top_k``, a snippet window size in bytes and a flags byte; the
+server ranks its shard-local :class:`~repro.search.serving.PostingsStore`
+with doc-at-a-time BM25 and answers ``R_SEARCH`` with scored hits (plus a
 query-biased snippet decoded through the windowed partial-decode path
 when a window was requested).  Two flag bits drive sharded fan-out: a
 *stats-only* SEARCH returns the shard's local term statistics instead of
@@ -122,10 +108,6 @@ from ..errors import ProtocolError
 
 __all__ = [
     "MAGIC",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_V3",
-    "PROTOCOL_V4",
     "PROTOCOL_V5",
     "PROTOCOL_VERSION",
     "SEARCH_STATS_ONLY",
@@ -135,14 +117,10 @@ __all__ = [
     "MAX_ARCHIVE_NAME_BYTES",
     "Opcode",
     "ERROR_CODES",
-    "encode_frame",
-    "encode_frame2",
-    "encode_frame3",
-    "encode_reply3",
-    "split_frame",
-    "split_frame2",
-    "split_frame3",
-    "split_reply3",
+    "encode_request",
+    "encode_reply",
+    "split_request",
+    "split_reply",
     "frame_length",
     "pack_busy",
     "unpack_busy",
@@ -158,8 +136,6 @@ __all__ = [
     "unpack_doc_ids",
     "pack_documents",
     "unpack_documents",
-    "pack_item",
-    "unpack_item",
     "pack_scan",
     "unpack_scan",
     "pack_chunk",
@@ -178,28 +154,12 @@ __all__ = [
     "unpack_wrong_shard",
     "pack_error",
     "unpack_error",
-    "error_to_frame",
     "raise_error_frame",
 ]
 
 MAGIC = b"RLZN"
-#: The legacy request/response protocol (PR 4): no request ids, one
-#: archive per server, strictly in-order replies.
-PROTOCOL_V1 = 1
-#: The pipelined protocol (PR 5): request ids, out-of-order replies,
-#: named archives, SCAN and R_BUSY.
-PROTOCOL_V2 = 2
-#: The fault-tolerant protocol: request frames carry a deadline field,
-#: R_BUSY payloads carry queue depth + retry-after, HEALTH/R_TIMEOUT.
-PROTOCOL_V3 = 3
-#: The partitioned protocol: SHARD_MAP/R_SHARD_MAP announce placement
-#: (epoch + endpoints + virtual_nodes) and R_WRONG_SHARD refuses doc ids
-#: the server no longer owns, carrying the current epoch.  Framing is
-#: unchanged from version 3.
-PROTOCOL_V4 = 4
-#: The search-serving protocol: SEARCH/R_SEARCH rank the shard-local
-#: postings index (stats-only and global-stats flags drive the sharded
-#: two-leg fan-out).  Framing is unchanged from version 3.
+#: The one protocol version: both sides of a handshake must announce it,
+#: and a peer announcing any other is refused (there is no negotiation).
 PROTOCOL_V5 = 5
 PROTOCOL_VERSION = PROTOCOL_V5
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -235,7 +195,8 @@ class Opcode:
     PING = 0x02
     GET = 0x03
     GET_MANY = 0x04
-    ITER = 0x05
+    # 0x05 and its reply 0x85 are retired (an old one-document-per-frame
+    # stream): never reuse them, so a stray old frame cannot be misread.
     STATS = 0x06
     DOC_IDS = 0x07
     SCAN = 0x08
@@ -249,7 +210,6 @@ class Opcode:
     R_PONG = 0x82
     R_DOC = 0x83
     R_DOCS = 0x84
-    R_ITEM = 0x85
     R_END = 0x86
     R_STATS = 0x87
     R_DOC_IDS = 0x88
@@ -293,25 +253,11 @@ _CODE_TO_ERROR: Dict[int, Type[BaseException]] = {
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_frame(opcode: int, payload: bytes = b"") -> bytes:
-    """One version-1 wire frame: length prefix, opcode byte, payload."""
-    return _LEN.pack(1 + len(payload)) + _U8.pack(opcode) + payload
-
-
-def encode_frame2(opcode: int, request_id: int, payload: bytes = b"") -> bytes:
-    """One version-2 wire frame: length prefix, opcode, request id, payload."""
-    return _LEN.pack(5 + len(payload)) + _OP_REQ.pack(opcode, request_id) + payload
-
-
-def encode_frame3(
+def encode_request(
     opcode: int, request_id: int, deadline_ms: int, payload: bytes = b""
 ) -> bytes:
-    """One version-3 *request* frame: adds a u32 deadline (ms; 0 = none)
-    and a trailing CRC32 over the frame body.
-
-    Version-3 *responses* drop the deadline field but keep the checksum
-    (:func:`encode_reply3` / :func:`split_reply3`).
-    """
+    """One request frame: opcode, request id, u32 deadline (ms; 0 = none),
+    payload and a trailing CRC32 over the frame body."""
     if not 0 <= deadline_ms <= MAX_DEADLINE_MS:
         raise ProtocolError(
             f"deadline must be in [0, {MAX_DEADLINE_MS}] ms, got {deadline_ms}"
@@ -320,16 +266,16 @@ def encode_frame3(
     return _LEN.pack(len(body) + _U32.size) + body + _U32.pack(zlib.crc32(body))
 
 
-def encode_reply3(opcode: int, request_id: int, payload: bytes = b"") -> bytes:
-    """One version-3 *response* frame: the v2 layout plus a trailing CRC32."""
+def encode_reply(opcode: int, request_id: int, payload: bytes = b"") -> bytes:
+    """One reply frame: opcode, request id, payload and a trailing CRC32."""
     body = _OP_REQ.pack(opcode, request_id) + payload
     return _LEN.pack(len(body) + _U32.size) + body + _U32.pack(zlib.crc32(body))
 
 
-def _strip_crc3(body: bytes) -> bytes:
-    """Verify and remove the trailing CRC32 of a version-3 frame body."""
+def _strip_crc(body: bytes) -> bytes:
+    """Verify and remove the trailing CRC32 of a frame body."""
     if len(body) < _U32.size:
-        raise ProtocolError(f"malformed v3 frame: {len(body)} bytes (no checksum)")
+        raise ProtocolError(f"malformed frame: {len(body)} bytes (no checksum)")
     content, trailer = body[: -_U32.size], body[-_U32.size :]
     if zlib.crc32(content) != _U32.unpack(trailer)[0]:
         raise ProtocolError(
@@ -358,43 +304,25 @@ def frame_length(prefix: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) 
     return length
 
 
-def split_frame(body: bytes) -> Tuple[int, bytes]:
-    """Split a version-1 frame body into ``(opcode, payload)``."""
-    if not body:
-        raise ProtocolError("malformed frame: empty body")
-    return body[0], body[1:]
-
-
-def split_frame2(body: bytes) -> Tuple[int, int, bytes]:
-    """Split a version-2 frame body into ``(opcode, request_id, payload)``."""
-    if len(body) < _OP_REQ.size:
-        raise ProtocolError(
-            f"malformed v2 frame: {len(body)} bytes (need opcode + request id)"
-        )
-    opcode, request_id = _OP_REQ.unpack_from(body)
-    return opcode, request_id, body[_OP_REQ.size :]
-
-
-def split_frame3(body: bytes) -> Tuple[int, int, int, bytes]:
-    """Split (and CRC-verify) a version-3 request body into
+def split_request(body: bytes) -> Tuple[int, int, int, bytes]:
+    """Split (and CRC-verify) a request body into
     ``(opcode, request_id, deadline_ms, payload)``."""
-    content = _strip_crc3(body)
+    content = _strip_crc(body)
     if len(content) < _OP_REQ_DL.size:
         raise ProtocolError(
-            f"malformed v3 frame: {len(content)} bytes "
+            f"malformed request frame: {len(content)} bytes "
             f"(need opcode + request id + deadline)"
         )
     opcode, request_id, deadline_ms = _OP_REQ_DL.unpack_from(content)
     return opcode, request_id, deadline_ms, content[_OP_REQ_DL.size :]
 
 
-def split_reply3(body: bytes) -> Tuple[int, int, bytes]:
-    """Split (and CRC-verify) a version-3 response body into
-    ``(opcode, request_id, payload)``."""
-    content = _strip_crc3(body)
+def split_reply(body: bytes) -> Tuple[int, int, bytes]:
+    """Split (and CRC-verify) a reply body into ``(opcode, request_id, payload)``."""
+    content = _strip_crc(body)
     if len(content) < _OP_REQ.size:
         raise ProtocolError(
-            f"malformed v3 frame: {len(content)} bytes (need opcode + request id)"
+            f"malformed reply frame: {len(content)} bytes (need opcode + request id)"
         )
     opcode, request_id = _OP_REQ.unpack_from(content)
     return opcode, request_id, content[_OP_REQ.size :]
@@ -404,17 +332,7 @@ def split_reply3(body: bytes) -> Tuple[int, int, bytes]:
 # Payload codecs
 # ----------------------------------------------------------------------
 def pack_hello(version: int = PROTOCOL_VERSION, archive: str = "") -> bytes:
-    """A HELLO payload: magic, highest spoken version, archive name (v2+).
-
-    Version-1 HELLOs are exactly the 5 legacy bytes (no name field), so a
-    v1 client's handshake is parsed unchanged by a v2 server.
-    """
-    if version <= PROTOCOL_V1:
-        if archive:
-            raise ProtocolError(
-                "protocol version 1 cannot name an archive (it predates the router)"
-            )
-        return _HELLO.pack(MAGIC, version)
+    """A HELLO payload: magic, protocol version, archive name."""
     name = archive.encode("utf-8")
     if len(name) > MAX_ARCHIVE_NAME_BYTES:
         raise ProtocolError(
@@ -426,18 +344,14 @@ def pack_hello(version: int = PROTOCOL_VERSION, archive: str = "") -> bytes:
 def unpack_hello(payload: bytes) -> Tuple[int, str]:
     """Validate a HELLO payload; return ``(version, archive_name)``.
 
-    A legacy 5-byte HELLO (any version) decodes with an empty archive name
-    — the server maps that to its default archive.
+    The archive-name field is required; an empty name selects the
+    server's default archive.
     """
-    if len(payload) < _HELLO.size:
+    if len(payload) < _HELLO.size + _U16.size:
         raise ProtocolError(f"malformed HELLO: {len(payload)} bytes")
     magic, version = _HELLO.unpack_from(payload)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}: not an rlz-serve client")
-    if len(payload) == _HELLO.size:
-        return version, ""
-    if len(payload) < _HELLO.size + _U16.size:
-        raise ProtocolError("malformed HELLO: truncated archive-name length")
     (name_length,) = _U16.unpack_from(payload, _HELLO.size)
     expected = _HELLO.size + _U16.size + name_length
     if len(payload) != expected:
@@ -563,22 +477,10 @@ def unpack_chunk(payload: bytes) -> List[Tuple[int, bytes]]:
     return items
 
 
-def pack_item(doc_id: int, document: bytes) -> bytes:
-    return _I64.pack(doc_id) + document
-
-
-def unpack_item(payload: bytes) -> Tuple[int, bytes]:
-    if len(payload) < _I64.size:
-        raise ProtocolError(f"malformed stream item: {len(payload)} bytes")
-    return _I64.unpack_from(payload)[0], payload[_I64.size :]
-
-
 def pack_busy(retry_after_ms: int = 0, queue_depth: int = 0) -> bytes:
     """An R_BUSY payload: suggested retry-after (ms) + observed queue depth.
 
-    ``retry_after_ms=0`` means "no hint, use your own backoff".  Servers
-    that predate the hint send an empty payload, which
-    :func:`unpack_busy` decodes as ``(0, 0)`` — the formats coexist.
+    ``retry_after_ms=0`` means "no hint, use your own backoff".
     """
     return _BUSY.pack(
         min(max(0, retry_after_ms), MAX_DEADLINE_MS), min(max(0, queue_depth), MAX_DEADLINE_MS)
@@ -586,16 +488,10 @@ def pack_busy(retry_after_ms: int = 0, queue_depth: int = 0) -> bytes:
 
 
 def unpack_busy(payload: bytes) -> Tuple[int, int]:
-    """Decode an R_BUSY payload to ``(retry_after_ms, queue_depth)``.
-
-    Tolerates the legacy empty payload (no hint) for compatibility with
-    protocol-v2 servers.
-    """
-    if not payload:
-        return 0, 0
-    if len(payload) < _BUSY.size:
+    """Decode an R_BUSY payload to ``(retry_after_ms, queue_depth)``."""
+    if len(payload) != _BUSY.size:
         raise ProtocolError(f"malformed busy payload: {len(payload)} bytes")
-    retry_after_ms, queue_depth = _BUSY.unpack_from(payload)
+    retry_after_ms, queue_depth = _BUSY.unpack(payload)
     return retry_after_ms, queue_depth
 
 
@@ -690,7 +586,7 @@ def unpack_wrong_shard(payload: bytes) -> Tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Search (protocol v5)
+# Search
 # ----------------------------------------------------------------------
 #: SEARCH flag: return the shard's local term statistics (doc count,
 #: total doc length, per-term df) instead of ranked results — the first
@@ -938,11 +834,6 @@ def pack_error_for(exc: BaseException) -> bytes:
     return pack_error(code, str(exc))
 
 
-def error_to_frame(exc: BaseException) -> bytes:
-    """Encode an exception as a complete version-1 ``R_ERROR`` frame."""
-    return encode_frame(Opcode.R_ERROR, pack_error_for(exc))
-
-
 def raise_error_frame(payload: bytes) -> None:
     """Re-raise the error carried by an ``R_ERROR`` payload.
 
@@ -962,31 +853,5 @@ def describe_opcode(opcode: int) -> str:
     return f"0x{opcode:02x}"
 
 
-def negotiate_version(client_version: int) -> int:
-    """The server-side version pick for a client speaking ``client_version``.
-
-    ``client_version`` is the *highest* version the client speaks, so the
-    server selects ``min(client, server)`` — a v1 client keeps its legacy
-    request/response framing against a v2 server, and a future v3 client
-    degrades to v2 here.  Anything below :data:`PROTOCOL_V1` is a mismatch.
-    """
-    if client_version < PROTOCOL_V1:
-        raise ProtocolError(
-            f"protocol version mismatch: client speaks {client_version}, "
-            f"server supports {PROTOCOL_V1}..{PROTOCOL_VERSION}"
-        )
-    return min(client_version, PROTOCOL_VERSION)
-
-
-def checked_version(server_version: int) -> int:
-    """Client-side validation of the version the server selected."""
-    if not PROTOCOL_V1 <= server_version <= PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version mismatch: server selected {server_version}, "
-            f"client supports {PROTOCOL_V1}..{PROTOCOL_VERSION}"
-        )
-    return server_version
-
-
 #: Optional ``__all__`` additions used by the server/client modules.
-__all__ += ["describe_opcode", "negotiate_version", "checked_version", "pack_error_for"]
+__all__ += ["describe_opcode", "pack_error_for"]

@@ -4,7 +4,7 @@ Three small pieces the fault-tolerance layer is built from:
 
 * :class:`Deadline` — a monotonic-clock budget for one logical call.
   Retries, backoff sleeps and socket waits all draw from the same
-  budget, and :meth:`Deadline.wire_ms` is what a protocol-v3 request
+  budget, and :meth:`Deadline.wire_ms` is what a request
   frame carries so the *server* can drop the work once it expires.
 * :class:`RetryBudget` — a token bucket capping how many retries a
   client issues per unit time.  Per-request retry counters multiply
@@ -62,7 +62,7 @@ class Deadline:
         return self.remaining() <= 0
 
     def wire_ms(self) -> int:
-        """The millisecond budget a v3 request frame carries right now.
+        """The millisecond budget a request frame carries right now.
 
         At least 1 — a frame is only sent while the deadline is live, and
         0 means "no deadline" on the wire.

@@ -4,8 +4,7 @@ PR 4's :class:`~repro.serve.server.RlzServer` bound exactly one archive to
 one socket.  The router splits *archive dispatch* out of *connection
 handling*: a server owns one router, the router owns any number of named
 archives, and the HELLO handshake's archive-name field picks which one a
-connection talks to (the empty name selects the default archive, which is
-also what legacy v1 clients — whose HELLO predates the name field — get).
+connection talks to (the empty name selects the default archive).
 
 Per archive, the router keeps:
 
@@ -15,8 +14,8 @@ Per archive, the router keeps:
 * an **inflight gate** (``max_inflight`` from the archive's
   :class:`~repro.api.ServeSpec`) — one hot archive saturating its gate
   queues *its* requests without starving the others, and once the queue
-  itself is a full gate deep the server answers version-2 clients with
-  ``R_BUSY`` instead of queueing further;
+  itself is a full gate deep the server answers ``R_BUSY`` instead of
+  queueing further;
 * request/error/busy counters, surfaced per archive in :meth:`stats`.
 
 The router owns the fronts it opens (closing the router closes them); a
@@ -219,8 +218,8 @@ class RlzRouter:
         serve gate, ...).  Per-archive configs can be supplied through
         :meth:`add`.
     default:
-        Archive name served to clients that do not pick one (v1 clients
-        and v2 clients sending an empty name).  Defaults to the first
+        Archive name served to clients that do not pick one (they send
+        an empty name).  Defaults to the first
         registered archive.
     max_workers:
         Decode thread-pool width handed to each opened front.

@@ -6,30 +6,28 @@ router, the router hosts any number of named archives (each a lazily
 opened :class:`repro.api.AsyncRlzArchive`), and a connection's HELLO picks
 the archive it talks to.
 
-* every connection handshakes (magic + version negotiation + archive
-  name), then issues request frames and reads responses; connections are
+* every connection handshakes (magic + protocol version + archive name),
+  then issues request frames and reads responses; connections are
   independent and a slow client never blocks another (each connection
   runs its own task);
-* protocol-**v1** connections keep PR 4's strict request/response loop:
-  one request in flight, replies in order;
-* protocol-**v2** connections are *pipelined*: every request frame
-  carries a u32 request id, the server runs each request as its own task
-  and writes replies as they finish — out of order when that is faster —
-  tagged with the originating id.  ``max_pipeline`` bounds how many
-  requests one connection may have in flight before the server stops
-  reading its frames (natural TCP backpressure);
+* connections are *pipelined*: every request frame carries a u32 request
+  id, the server runs each request as its own task and writes replies as
+  they finish — out of order when that is faster — tagged with the
+  originating id.  ``max_pipeline`` bounds how many requests one
+  connection may have in flight before the server stops reading its
+  frames (natural TCP backpressure);
 * a per-archive **backpressure gate** bounds the number of requests being
   served at once across *all* connections (``max_inflight``); excess
   requests wait in order at the gate, and once the queue is a full gate
-  deep, v2 requests are shed with an ``R_BUSY`` hint instead of queueing
-  (v1 clients, which cannot parse it, keep queueing).  The R_BUSY payload
-  carries the queue depth and a retry-after estimate from the archive's
-  service-time EWMA, so shed clients back off proportionally;
-* protocol-**v3** request frames carry a millisecond **deadline**; a
-  request whose deadline expired while it queued is answered with
-  ``R_TIMEOUT`` and never touches the archive — decoding a document
-  nobody is waiting for only deepens a brownout.  ``HEALTH`` requests
-  bypass the gate entirely so load can be observed *during* saturation;
+  deep, requests are shed with an ``R_BUSY`` hint instead of queueing.
+  The R_BUSY payload carries the queue depth and a retry-after estimate
+  from the archive's service-time EWMA, so shed clients back off
+  proportionally;
+* request frames carry a millisecond **deadline**; a request whose
+  deadline expired while it queued is answered with ``R_TIMEOUT`` and
+  never touches the archive — decoding a document nobody is waiting for
+  only deepens a brownout.  ``HEALTH`` requests bypass the gate entirely
+  so load can be observed *during* saturation;
 * archive failures travel back as structured error frames carrying the
   concrete :mod:`repro.errors` class, and the connection keeps serving;
   protocol violations (bad magic, oversized or truncated frames,
@@ -85,7 +83,6 @@ class ConnectionStats:
     """What one client connection has cost so far."""
 
     peer: str
-    version: int = 0
     archive: str = ""
     requests: int = 0
     errors: int = 0
@@ -100,7 +97,7 @@ class ConnectionStats:
 
 
 class _Connection:
-    """One client connection: handshake, then the version's request loop."""
+    """One client connection: handshake, then the pipelined request loop."""
 
     def __init__(
         self,
@@ -112,9 +109,8 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.stats = ConnectionStats(peer=str(writer.get_extra_info("peername")))
-        self.version = protocol.PROTOCOL_V1
         self.entry: Optional[ArchiveEntry] = None
-        #: Request tasks in flight on this (v2) connection.
+        #: Request tasks in flight on this connection.
         self.tasks: Set[asyncio.Task] = set()
         self.inflight_ids: Set[int] = set()
 
@@ -131,16 +127,9 @@ class _Connection:
         self.stats.bytes_out += len(frame)
         await self.writer.drain()
 
-    async def respond(
-        self, opcode: int, payload: bytes = b"", request_id: Optional[int] = None
-    ) -> None:
-        """One reply frame in the connection's negotiated framing."""
-        if request_id is None:
-            await self.write_frame(protocol.encode_frame(opcode, payload))
-        elif self.version >= protocol.PROTOCOL_V3:
-            await self.write_frame(protocol.encode_reply3(opcode, request_id, payload))
-        else:
-            await self.write_frame(protocol.encode_frame2(opcode, request_id, payload))
+    async def respond(self, opcode: int, payload: bytes, request_id: int) -> None:
+        """One reply frame tagged with ``request_id``."""
+        await self.write_frame(protocol.encode_reply(opcode, request_id, payload))
 
 
 class RlzServer:
@@ -175,7 +164,6 @@ class RlzServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.Task] = set()
         self._busy: Set[asyncio.Task] = set()
-        self._conn_stats: Dict[asyncio.Task, ConnectionStats] = {}
         self._conn_objects: Dict[asyncio.Task, _Connection] = {}
         self._closing = False
         self._closed = False
@@ -300,17 +288,15 @@ class RlzServer:
         busy = [task for task in pending if task in self._busy]
         for task in idle:
             task.cancel()
-        # What actually needs the drain window: v1 connection tasks finish
-        # their in-flight request inside the task itself; a pipelined v2
-        # connection task is parked reading the socket and never finishes
-        # on its own — its in-flight *request tasks* are the drain target.
-        drain_targets = []
-        for task in busy:
-            conn = self._conn_objects.get(task)
-            if conn is not None and conn.version >= 2:
-                drain_targets.extend(t for t in conn.tasks if not t.done())
-            else:
-                drain_targets.append(task)
+        # A busy connection task is parked reading the socket and never
+        # finishes on its own: its in-flight *request tasks* are what the
+        # drain window waits for.
+        drain_targets = [
+            request
+            for task in busy
+            for request in self._conn_objects[task].tasks
+            if not request.done()
+        ]
         if drain_targets:
             done, still_pending = await asyncio.wait(
                 drain_targets, timeout=self._spec.drain_seconds
@@ -346,7 +332,6 @@ class RlzServer:
         self._connections_total += 1
         handler.add_done_callback(self._connections.discard)
         handler.add_done_callback(self._busy.discard)
-        handler.add_done_callback(lambda t: self._conn_stats.pop(t, None))
         handler.add_done_callback(lambda t: self._conn_objects.pop(t, None))
 
     async def _serve_connection(
@@ -355,28 +340,18 @@ class RlzServer:
         conn = _Connection(self, reader, writer)
         task = asyncio.current_task()
         if task is not None:
-            self._conn_stats[task] = conn.stats
             self._conn_objects[task] = conn
         try:
             await self._handshake(conn)
-            if conn.version >= 2:
-                await self._run_pipelined(conn, task)
-            else:
-                await self._run_sequential(conn, task)
-        except (ProtocolError, ReproError) as exc:
+            await self._run_pipelined(conn, task)
+        except ReproError as exc:
             # Handshake failures (bad magic/version, unknown archive name)
-            # answer in v1 framing — nothing is negotiated yet.  After a
-            # v2 handshake, connection-level errors are v2-framed with the
-            # reserved request id 0 so a compliant client parses them.
+            # and connection-level frame errors carry the reserved request
+            # id 0: no single request can own them.
             conn.stats.errors += 1
             self._errors += 1
             try:
-                if conn.version >= 2:
-                    await conn.respond(
-                        Opcode.R_ERROR, protocol.pack_error_for(exc), 0
-                    )
-                else:
-                    await conn.write_frame(protocol.error_to_frame(exc))
+                await conn.respond(Opcode.R_ERROR, protocol.pack_error_for(exc), 0)
             except (ConnectionError, OSError):
                 pass
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -393,85 +368,29 @@ class RlzServer:
                 pass
 
     async def _handshake(self, conn: _Connection) -> None:
-        opcode, payload = protocol.split_frame(await conn.read_body())
+        try:
+            opcode, _, _, payload = protocol.split_request(await conn.read_body())
+        except ProtocolError as exc:
+            raise ProtocolError(
+                f"malformed HELLO frame (is the client speaking protocol "
+                f"{protocol.PROTOCOL_VERSION}?): {exc}"
+            ) from None
         if opcode != Opcode.HELLO:
             raise ProtocolError(
                 f"expected HELLO, got {protocol.describe_opcode(opcode)}"
             )
-        client_version, archive_name = protocol.unpack_hello(payload)
-        version = protocol.negotiate_version(client_version)
+        version, archive_name = protocol.unpack_hello(payload)
+        if version != protocol.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"protocol version mismatch: client speaks {version}, "
+                f"server speaks {protocol.PROTOCOL_VERSION}"
+            )
         conn.entry = await self._router.resolve(archive_name)
-        conn.version = version
-        conn.stats.version = version
         conn.stats.archive = conn.entry.name
-        # The whole handshake speaks v1 framing; the negotiated framing
-        # starts with the first frame after R_HELLO.
-        await conn.write_frame(
-            protocol.encode_frame(Opcode.R_HELLO, protocol.pack_hello_reply(version))
-        )
+        await conn.respond(Opcode.R_HELLO, protocol.pack_hello_reply(), 0)
 
     # ------------------------------------------------------------------
-    # v1: strict request/response
-    # ------------------------------------------------------------------
-    async def _run_sequential(
-        self, conn: _Connection, task: Optional[asyncio.Task]
-    ) -> None:
-        entry = conn.entry
-        while not self._closing:
-            try:
-                opcode, payload = protocol.split_frame(await conn.read_body())
-            except asyncio.IncompleteReadError:
-                return  # client hung up between requests: normal
-            conn.stats.count(opcode)
-            self._requests += 1
-            entry.requests += 1
-            # Mark the connection busy while a request is in flight so a
-            # graceful close drains it; idle connections (parked in the
-            # read above) are cancelled immediately instead.
-            if task is not None:
-                self._busy.add(task)
-            try:
-                # HEALTH and SHARD_MAP are pure bookkeeping and must stay
-                # answerable while the gate is saturated — no queueing.
-                if opcode == Opcode.HEALTH:
-                    await conn.respond(
-                        Opcode.R_HEALTH, protocol.pack_health(self._router.health())
-                    )
-                    continue
-                if opcode == Opcode.SHARD_MAP:
-                    await self._answer_shard_map(conn, None)
-                    continue
-                entry.waiting += 1
-                try:
-                    await entry.gate.acquire()
-                finally:
-                    entry.waiting -= 1
-                entry.active += 1
-                started = time.monotonic()
-                try:
-                    await self._dispatch(conn, opcode, payload, None)
-                finally:
-                    entry.active -= 1
-                    entry.observe(time.monotonic() - started)
-                    entry.gate.release()
-            except ProtocolError as exc:
-                self._count_error(conn)
-                await conn.write_frame(protocol.error_to_frame(exc))
-                return  # framing no longer trustworthy
-            except ReproError as exc:
-                self._count_error(conn)
-                await conn.write_frame(protocol.error_to_frame(exc))
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            except Exception as exc:  # server bug: report, go on
-                self._count_error(conn)
-                await conn.write_frame(protocol.error_to_frame(exc))
-            finally:
-                if task is not None:
-                    self._busy.discard(task)
-
-    # ------------------------------------------------------------------
-    # v2: pipelined, out-of-order replies
+    # The request loop: pipelined, out-of-order replies
     # ------------------------------------------------------------------
     async def _run_pipelined(
         self, conn: _Connection, task: Optional[asyncio.Task]
@@ -487,15 +406,9 @@ class RlzServer:
             except asyncio.IncompleteReadError:
                 window.release()
                 return  # client hung up between requests: normal
-            # v3 request frames carry a millisecond deadline after the
-            # request id; v2 frames have none.  Responses use v2 framing
-            # either way.  The deadline is pinned to the monotonic clock
-            # *now*, at frame-read time — queueing counts against it.
-            if conn.version >= protocol.PROTOCOL_V3:
-                opcode, request_id, deadline_ms, payload = protocol.split_frame3(body)
-            else:
-                opcode, request_id, payload = protocol.split_frame2(body)
-                deadline_ms = 0
+            # The deadline is pinned to the monotonic clock *now*, at
+            # frame-read time — queueing counts against it.
+            opcode, request_id, deadline_ms, payload = protocol.split_request(body)
             deadline_at = (
                 time.monotonic() + deadline_ms / 1000.0 if deadline_ms else None
             )
@@ -561,7 +474,7 @@ class RlzServer:
                 await self._reject_expired(conn, entry, request_id)
                 return
             # Shed load once the gate queue is itself a full gate deep: a
-            # v2 client knows R_BUSY means "retry in a moment, elsewhere
+            # client knows R_BUSY means "retry in a moment, elsewhere
             # if you have a replica".  The payload tells it *when*: queue
             # depth plus a retry-after estimate from the service EWMA.
             if entry.gate.locked() and entry.waiting >= entry.max_inflight:
@@ -606,7 +519,7 @@ class RlzServer:
                 pass
             # The peer sent something structurally wrong: close the
             # transport, which unblocks the read loop and tears the
-            # connection down (matching the v1 close-on-ProtocolError).
+            # connection down.
             conn.writer.close()
         except ReproError as exc:
             self._count_error(conn)
@@ -638,9 +551,7 @@ class RlzServer:
     # ------------------------------------------------------------------
     # Partitioned serving helpers
     # ------------------------------------------------------------------
-    async def _answer_shard_map(
-        self, conn: _Connection, request_id: Optional[int]
-    ) -> None:
+    async def _answer_shard_map(self, conn: _Connection, request_id: int) -> None:
         """R_SHARD_MAP with the archive's current placement (pre-gate)."""
         epoch, labels, virtual_nodes = conn.entry.shard_map_reply()
         await conn.respond(
@@ -650,7 +561,7 @@ class RlzServer:
         )
 
     async def _refuse_wrong_shard(
-        self, conn: _Connection, doc_id: int, request_id: Optional[int]
+        self, conn: _Connection, doc_id: int, request_id: int
     ) -> None:
         """R_WRONG_SHARD carrying the epoch this shard currently serves."""
         entry = conn.entry
@@ -745,14 +656,14 @@ class RlzServer:
         return front_ids + sorted(extra)
 
     # ------------------------------------------------------------------
-    # Dispatch (shared by both request loops)
+    # Dispatch
     # ------------------------------------------------------------------
     async def _dispatch(
         self,
         conn: _Connection,
         opcode: int,
         payload: bytes,
-        request_id: Optional[int],
+        request_id: int,
     ) -> None:
         try:
             await self._dispatch_inner(conn, opcode, payload, request_id)
@@ -764,7 +675,7 @@ class RlzServer:
         conn: _Connection,
         opcode: int,
         payload: bytes,
-        request_id: Optional[int],
+        request_id: int,
     ) -> None:
         entry = conn.entry
         front = entry.front
@@ -785,15 +696,6 @@ class RlzServer:
             await conn.respond(
                 Opcode.R_DOCS, protocol.pack_documents(documents), request_id
             )
-        elif opcode == Opcode.ITER:
-            # Stream one document per frame (decodes go through the front,
-            # so the cache tier and coalescing apply), then terminate.
-            for doc_id in self._served_ids(entry):
-                document = await self._get_document(conn, front, doc_id)
-                await conn.respond(
-                    Opcode.R_ITEM, protocol.pack_item(doc_id, document), request_id
-                )
-            await conn.respond(Opcode.R_END, b"", request_id)
         elif opcode == Opcode.SCAN:
             await self._dispatch_scan(conn, payload, request_id)
         elif opcode == Opcode.STATS:
@@ -838,7 +740,7 @@ class RlzServer:
             )
 
     async def _dispatch_search(
-        self, conn: _Connection, payload: bytes, request_id: Optional[int]
+        self, conn: _Connection, payload: bytes, request_id: int
     ) -> None:
         """SEARCH: shard-local BM25 top-k over the persistent posting lists.
 
@@ -916,12 +818,11 @@ class RlzServer:
         await conn.respond(Opcode.R_SEARCH, reply, request_id)
 
     async def _dispatch_scan(
-        self, conn: _Connection, payload: bytes, request_id: Optional[int]
+        self, conn: _Connection, payload: bytes, request_id: int
     ) -> None:
         """Bulk scan: batched container reads, many documents per frame.
 
-        Unlike ITER (one ``get`` and one frame per document), SCAN decodes
-        ``chunk_docs`` documents per batched ``get_many`` — one vectorized
+        SCAN decodes ``chunk_docs`` documents per batched ``get_many`` — one vectorized
         pass over the container per chunk — and ships each batch as one
         R_CHUNK frame.  An explicit doc-id list scans just that subset, in
         the requested order (the cluster client uses this to scan only the

@@ -169,40 +169,11 @@ def test_blackhole_bounded_by_deadline(live_server, served_archive):
 # ----------------------------------------------------------------------
 # Server-side deadline enforcement: expired work is dropped pre-decode
 # ----------------------------------------------------------------------
-def _recv_exact(sock, count):
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        assert chunk, "connection closed mid-frame"
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def _handshake_v3(host, port):
-    import socket as socketlib
-
-    sock = socketlib.create_connection((host, port), timeout=10.0)
-    sock.sendall(protocol.encode_frame(Opcode.HELLO, protocol.pack_hello(3, "")))
-    prefix = _recv_exact(sock, 4)
-    body = _recv_exact(sock, protocol.frame_length(prefix))
-    opcode, payload = protocol.split_frame(body)
-    assert opcode == Opcode.R_HELLO
-    assert protocol.unpack_hello_reply(payload) == 3
-    return sock
-
-
-def _read_v3_reply(sock):
-    prefix = _recv_exact(sock, 4)
-    body = _recv_exact(sock, protocol.frame_length(prefix))
-    return protocol.split_reply3(body)
-
-
-def test_expired_deadline_rejected_without_decoding(served_archive):
+def test_expired_deadline_rejected_without_decoding(served_archive, wire):
     """A request whose deadline dies in the gate queue gets R_TIMEOUT
     *without* the server ever decoding for it.
 
-    Driven over a raw v3 socket: a deadline-aware client gives up (and
+    Driven over a raw socket: a deadline-aware client gives up (and
     hangs up) on its own at the deadline, and the server drops the work
     of a vanished peer — the raw socket stays open to observe the
     server-side rejection itself.
@@ -242,16 +213,12 @@ def test_expired_deadline_rejected_without_decoding(served_archive):
             # wait.  It queues (the queue is not full, so no R_BUSY), its
             # deadline expires while waiting, and the post-gate re-check
             # must answer R_TIMEOUT without touching the archive.
-            sock = _handshake_v3(host, port)
+            raw = wire.dial(host, port)
             try:
-                sock.sendall(
-                    protocol.encode_frame3(
-                        Opcode.GET, 1, 100, protocol.pack_doc_id(doc_id)
-                    )
-                )
-                opcode, request_id, _payload = _read_v3_reply(sock)
+                raw.send(Opcode.GET, 1, protocol.pack_doc_id(doc_id), deadline_ms=100)
+                opcode, request_id, _payload = raw.read()
             finally:
-                sock.close()
+                raw.close()
             assert opcode == Opcode.R_TIMEOUT
             assert request_id == 1
             thread.join(timeout=10.0)

@@ -1,27 +1,24 @@
-"""Protocol-v2 edge cases: pipelining, negotiation, routing, backpressure.
+"""Pipelining edge cases: out-of-order replies, routing, SCAN, backpressure.
 
-What version 2 added — request ids with out-of-order replies, the archive
-name in HELLO, the SCAN bulk opcode and the R_BUSY load-shedding hint —
-and every way those can go wrong: interleaved replies, duplicate ids,
-v1 clients against v2 servers, unknown archive names, a client vanishing
-mid-pipeline.
+What request ids buy — out-of-order replies, the archive name in HELLO,
+the SCAN bulk opcode and the R_BUSY load-shedding hint — and every way
+those can go wrong: interleaved replies, duplicate ids, unknown archive
+names, a client vanishing mid-pipeline.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import socket
 import struct
 import threading
 import time
 
 import pytest
 
-from repro.api import ArchiveConfig, ServeSpec
+from repro.api import ServeSpec
 from repro.errors import ConfigurationError, ProtocolError, StorageError
 from repro.serve import BackgroundServer, RlzClient, protocol
-from repro.serve.client import _recv_exact
 from repro.serve.protocol import Opcode
 
 
@@ -32,82 +29,13 @@ def live_server(served_archive):
         yield server
 
 
-def _handshake_v2(host: str, port: int, archive: str = "") -> socket.socket:
-    # Pin the handshake to v2: these tests speak raw v2 frames, and a v3+
-    # server must keep serving v2 clients with v2 framing.
-    raw = socket.create_connection((host, port), timeout=10)
-    raw.sendall(
-        protocol.encode_frame(
-            Opcode.HELLO, protocol.pack_hello(protocol.PROTOCOL_V2, archive)
-        )
-    )
-    opcode, payload = _read_v1_frame(raw)
-    if opcode == Opcode.R_ERROR:
-        raw.close()
-        protocol.raise_error_frame(payload)
-    assert opcode == Opcode.R_HELLO
-    assert protocol.unpack_hello_reply(payload) == protocol.PROTOCOL_V2
-    return raw
-
-
-def _read_v1_frame(raw: socket.socket):
-    length = protocol.frame_length(_recv_exact(raw, 4))
-    return protocol.split_frame(_recv_exact(raw, length))
-
-
-def _read_v2_frame(raw: socket.socket):
-    length = protocol.frame_length(_recv_exact(raw, 4))
-    return protocol.split_frame2(_recv_exact(raw, length))
-
-
 # ----------------------------------------------------------------------
-# Negotiation
+# Routing
 # ----------------------------------------------------------------------
-def test_v1_client_against_v2_server_round_trips(live_server, served_archive):
-    _, _, collection = served_archive
-    host, port = live_server.address
-    with RlzClient(host, port, protocol_version=1) as client:
-        ids = client.doc_ids()
-        assert sorted(ids) == sorted(d.doc_id for d in collection)
-        for doc_id in ids[:5]:
-            assert client.get(doc_id) == collection.document_by_id(doc_id).content
-        assert dict(client.iter_documents()) == {
-            d.doc_id: d.content for d in collection
-        }
-
-
-def test_raw_v1_hello_negotiates_version_1(live_server):
-    host, port = live_server.address
-    raw = socket.create_connection((host, port), timeout=10)
-    raw.sendall(
-        protocol.encode_frame(Opcode.HELLO, protocol.pack_hello(protocol.PROTOCOL_V1))
-    )
-    opcode, payload = _read_v1_frame(raw)
-    assert opcode == Opcode.R_HELLO
-    assert protocol.unpack_hello_reply(payload) == protocol.PROTOCOL_V1
-    # ...and the connection then really speaks v1 framing.
-    raw.sendall(protocol.encode_frame(Opcode.PING, b"hi"))
-    opcode, payload = _read_v1_frame(raw)
-    assert (opcode, payload) == (Opcode.R_PONG, b"hi")
-    raw.close()
-
-
-def test_futuristic_client_version_negotiates_down(live_server):
-    host, port = live_server.address
-    raw = socket.create_connection((host, port), timeout=10)
-    raw.sendall(
-        protocol.encode_frame(Opcode.HELLO, protocol.MAGIC + bytes([75]))
-    )
-    opcode, payload = _read_v1_frame(raw)
-    assert opcode == Opcode.R_HELLO
-    assert protocol.unpack_hello_reply(payload) == protocol.PROTOCOL_VERSION
-    raw.close()
-
-
-def test_unknown_archive_name_is_rejected_with_configuration_error(live_server):
+def test_unknown_archive_name_is_rejected_with_configuration_error(live_server, wire):
     host, port = live_server.address
     with pytest.raises(ConfigurationError, match="unknown archive"):
-        _handshake_v2(host, port, archive="no-such-archive")
+        wire.dial(host, port, archive="no-such-archive")
     # ...and through the real client's dial path too.
     client = RlzClient(host, port, archive="still-not-there", retries=0)
     with pytest.raises(ConfigurationError, match="unknown archive"):
@@ -118,7 +46,7 @@ def test_unknown_archive_name_is_rejected_with_configuration_error(live_server):
 # ----------------------------------------------------------------------
 # Pipelining
 # ----------------------------------------------------------------------
-def test_out_of_order_replies_interleave_on_one_connection(served_archive):
+def test_out_of_order_replies_interleave_on_one_connection(served_archive, wire):
     """A slow request must not block a later fast one: the later reply
     arrives first, and both carry the right request id."""
     path, config, collection = served_archive
@@ -136,14 +64,10 @@ def test_out_of_order_replies_interleave_on_one_connection(served_archive):
             return await real_get(doc_id)
 
         front.get = slow_get
-        raw = _handshake_v2(host, port)
-        raw.sendall(
-            protocol.encode_frame2(Opcode.GET, 11, protocol.pack_doc_id(slow_id))
-        )
-        raw.sendall(
-            protocol.encode_frame2(Opcode.GET, 22, protocol.pack_doc_id(fast_id))
-        )
-        replies = [_read_v2_frame(raw) for _ in range(2)]
+        raw = wire.dial(host, port)
+        raw.send(Opcode.GET, 11, protocol.pack_doc_id(slow_id))
+        raw.send(Opcode.GET, 22, protocol.pack_doc_id(fast_id))
+        replies = [raw.read() for _ in range(2)]
         raw.close()
         assert [request_id for _, request_id, _ in replies] == [22, 11]
         by_id = {request_id: payload for _, request_id, payload in replies}
@@ -154,7 +78,7 @@ def test_out_of_order_replies_interleave_on_one_connection(served_archive):
         server.stop()
 
 
-def test_duplicate_request_id_closes_the_connection(served_archive):
+def test_duplicate_request_id_closes_the_connection(served_archive, wire):
     path, config, collection = served_archive
     server = BackgroundServer(path, config)
     host, port = server.start()
@@ -169,30 +93,26 @@ def test_duplicate_request_id_closes_the_connection(served_archive):
 
         front.get = stuck_get
         doc_id = next(iter(collection)).doc_id
-        raw = _handshake_v2(host, port)
+        raw = wire.dial(host, port)
         # Id 7 is parked in the stuck decode; reusing it while it is in
         # flight makes the correlation ambiguous.
-        raw.sendall(protocol.encode_frame2(Opcode.GET, 7, protocol.pack_doc_id(doc_id)))
-        raw.sendall(protocol.encode_frame2(Opcode.PING, 7, b""))
-        opcode, request_id, payload = _read_v2_frame(raw)
+        raw.send(Opcode.GET, 7, protocol.pack_doc_id(doc_id))
+        raw.send(Opcode.PING, 7)
+        opcode, request_id, payload = raw.read()
         assert (opcode, request_id) == (Opcode.R_ERROR, 7)
         with pytest.raises(ProtocolError, match="duplicate request id"):
             protocol.raise_error_frame(payload)
         # The connection is closed afterwards.
-        raw.settimeout(5)
-        try:
-            assert raw.recv(1) == b""
-        except (ConnectionError, socket.timeout):
-            pass
+        raw.assert_closed()
         raw.close()
         server._loop.call_soon_threadsafe(release.set)
         front.get = real_get
         # A reused id is fine once the first request finished.
-        raw = _handshake_v2(host, port)
-        raw.sendall(protocol.encode_frame2(Opcode.PING, 9, b""))
-        assert _read_v2_frame(raw)[0] == Opcode.R_PONG
-        raw.sendall(protocol.encode_frame2(Opcode.PING, 9, b""))
-        assert _read_v2_frame(raw)[0] == Opcode.R_PONG
+        raw = wire.dial(host, port)
+        raw.send(Opcode.PING, 9)
+        assert raw.read()[0] == Opcode.R_PONG
+        raw.send(Opcode.PING, 9)
+        assert raw.read()[0] == Opcode.R_PONG
         raw.close()
     finally:
         server.stop()
@@ -226,17 +146,15 @@ def test_pipelined_get_raises_the_archive_error(live_server, served_archive):
 
 
 def test_client_disconnect_mid_pipeline_leaves_server_serving(
-    live_server, served_archive
+    live_server, served_archive, wire
 ):
     _, _, collection = served_archive
     host, port = live_server.address
     ids = sorted(d.doc_id for d in collection)
-    raw = _handshake_v2(host, port)
+    raw = wire.dial(host, port)
     # Queue a burst of requests and vanish without reading a single reply.
     for request_id, doc_id in enumerate(ids, start=1):
-        raw.sendall(
-            protocol.encode_frame2(Opcode.GET, request_id, protocol.pack_doc_id(doc_id))
-        )
+        raw.send(Opcode.GET, request_id, protocol.pack_doc_id(doc_id))
     raw.close()
     # The server must shrug: fresh connections serve correct bytes.
     with RlzClient(host, port) as client:
@@ -320,7 +238,7 @@ def test_scan_unknown_doc_raises_storage_error(live_server, served_archive):
         assert client.get(ids[0]) == collection.document_by_id(ids[0]).content
 
 
-def test_iter_documents_rides_scan_on_v2(live_server, served_archive):
+def test_iter_documents_rides_scan(live_server, served_archive):
     _, _, collection = served_archive
     host, port = live_server.address
     with RlzClient(host, port) as client:
@@ -328,14 +246,14 @@ def test_iter_documents_rides_scan_on_v2(live_server, served_archive):
             d.doc_id: d.content for d in collection
         }
     stats = live_server.stats()
-    # The v2 iteration used SCAN, not the per-document ITER opcode.
+    # One SCAN request streamed everything, not one request per document.
     assert stats.get("server_requests", 0) >= 1
 
 
 # ----------------------------------------------------------------------
 # R_BUSY backpressure
 # ----------------------------------------------------------------------
-def test_saturated_gate_sheds_v2_requests_with_r_busy(served_archive):
+def test_saturated_gate_sheds_requests_with_r_busy(served_archive, wire):
     path, config, collection = served_archive
     config = dataclasses.replace(
         config, serve=ServeSpec(max_inflight=1, max_pipeline=64)
@@ -353,22 +271,18 @@ def test_saturated_gate_sheds_v2_requests_with_r_busy(served_archive):
 
         front.get = stuck_get
         doc_id = next(iter(collection)).doc_id
-        raw = _handshake_v2(host, port)
+        raw = wire.dial(host, port)
         # One request occupies the gate, one waits, the rest must be shed.
         for request_id in range(1, 9):
-            raw.sendall(
-                protocol.encode_frame2(
-                    Opcode.GET, request_id, protocol.pack_doc_id(doc_id)
-                )
-            )
+            raw.send(Opcode.GET, request_id, protocol.pack_doc_id(doc_id))
         busy_ids = set()
         for _ in range(6):
-            opcode, request_id, _ = _read_v2_frame(raw)
+            opcode, request_id, _ = raw.read()
             assert opcode == Opcode.R_BUSY
             busy_ids.add(request_id)
         assert len(busy_ids) == 6
         server._loop.call_soon_threadsafe(release.set)
-        docs = [_read_v2_frame(raw) for _ in range(2)]
+        docs = [raw.read() for _ in range(2)]
         assert {opcode for opcode, _, _ in docs} == {Opcode.R_DOC}
         raw.close()
         stats = server.stats()
@@ -407,17 +321,16 @@ def test_client_retries_r_busy_until_served(served_archive):
 # ----------------------------------------------------------------------
 # Connection-level errors and drain behaviour (review regressions)
 # ----------------------------------------------------------------------
-def test_post_handshake_frame_error_is_v2_framed_with_reserved_id(served_archive):
-    """A frame-level violation after a v2 handshake must come back in v2
-    framing (request id 0), not v1 framing a compliant client misparses."""
-    import dataclasses as _dc
+def test_post_handshake_frame_error_carries_the_reserved_id(served_archive, wire):
+    """A frame-level violation after the handshake comes back as a reply
+    frame with the reserved request id 0 (no single request owns it)."""
     path, config, _ = served_archive
-    config = _dc.replace(config, serve=ServeSpec(max_frame_bytes=64 * 1024))
+    config = dataclasses.replace(config, serve=ServeSpec(max_frame_bytes=64 * 1024))
     with BackgroundServer(path, config) as server:
         host, port = server.address
-        raw = _handshake_v2(host, port)
-        raw.sendall(struct.pack("!I", 1 << 20))  # oversized frame claim
-        opcode, request_id, payload = _read_v2_frame(raw)
+        raw = wire.dial(host, port)
+        raw.send_bytes(struct.pack("!I", 1 << 20))  # oversized frame claim
+        opcode, request_id, payload = raw.read()
         assert (opcode, request_id) == (Opcode.R_ERROR, 0)
         with pytest.raises(ProtocolError, match="oversized"):
             protocol.raise_error_frame(payload)
@@ -429,13 +342,12 @@ def test_post_handshake_frame_error_is_v2_framed_with_reserved_id(served_archive
         client.close()
 
 
-def test_graceful_close_is_prompt_once_v2_requests_drain(served_archive):
+def test_graceful_close_is_prompt_once_requests_drain(served_archive, wire):
     """close() must wait on the in-flight *requests*, not on the pipelined
     connection task (which is parked reading and never finishes alone):
     with a 10s drain window and a 0.2s request, shutdown is sub-second."""
-    import dataclasses as _dc
     path, config, collection = served_archive
-    config = _dc.replace(config, serve=ServeSpec(drain_seconds=10.0))
+    config = dataclasses.replace(config, serve=ServeSpec(drain_seconds=10.0))
     server = BackgroundServer(path, config)
     host, port = server.start()
     doc_id = next(iter(collection)).doc_id
@@ -450,14 +362,14 @@ def test_graceful_close_is_prompt_once_v2_requests_drain(served_archive):
         return await real_get(requested)
 
     front.get = slow_get
-    raw = _handshake_v2(host, port)
-    raw.sendall(protocol.encode_frame2(Opcode.GET, 5, protocol.pack_doc_id(doc_id)))
+    raw = wire.dial(host, port)
+    raw.send(Opcode.GET, 5, protocol.pack_doc_id(doc_id))
     assert started.wait(timeout=10)
     start = time.monotonic()
     server.stop()  # drains the 0.2s request, not the whole 10s window
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, elapsed
     # The in-flight request was answered before the connection closed.
-    opcode, request_id, payload = _read_v2_frame(raw)
+    opcode, request_id, payload = raw.read()
     assert (opcode, request_id, payload) == (Opcode.R_DOC, 5, expected)
     raw.close()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import errors
 from repro.errors import ProtocolError
@@ -14,12 +17,29 @@ from repro.serve.protocol import Opcode
 # Framing
 # ----------------------------------------------------------------------
 def test_frame_roundtrip():
-    frame = protocol.encode_frame(Opcode.GET, b"payload")
+    frame = protocol.encode_request(Opcode.GET, 9, 250, b"payload")
     length = protocol.frame_length(frame[:4])
     assert length == len(frame) - 4
-    opcode, payload = protocol.split_frame(frame[4:])
-    assert opcode == Opcode.GET
-    assert payload == b"payload"
+    assert protocol.split_request(frame[4:]) == (Opcode.GET, 9, 250, b"payload")
+
+
+def test_reply_frame_roundtrip():
+    frame = protocol.encode_reply(Opcode.R_DOC, 0xDEADBEEF, b"payload")
+    length = protocol.frame_length(frame[:4])
+    assert length == len(frame) - 4
+    assert protocol.split_reply(frame[4:]) == (Opcode.R_DOC, 0xDEADBEEF, b"payload")
+
+
+def test_frame_bytes_are_pinned():
+    """Post-handshake frames keep exactly the bytes protocol version 5
+    has always put on the wire (length, opcode, id, deadline, payload,
+    CRC32)."""
+    get = protocol.encode_request(Opcode.GET, 1, 250, protocol.pack_doc_id(7))
+    assert get.hex() == "000000150300000001000000fa0000000000000007da5faf1b"
+    doc = protocol.encode_reply(Opcode.R_DOC, 1, b"<html>rlz</html>")
+    assert doc.hex() == (
+        "0000001983000000013c68746d6c3e726c7a3c2f68746d6c3e50a17196"
+    )
 
 
 def test_frame_length_rejects_truncated_prefix():
@@ -33,14 +53,61 @@ def test_frame_length_rejects_empty_body():
 
 
 def test_frame_length_rejects_oversized():
-    frame = protocol.encode_frame(Opcode.GET, b"x" * 100)
+    frame = protocol.encode_request(Opcode.GET, 1, 0, b"x" * 100)
     with pytest.raises(ProtocolError, match="oversized"):
         protocol.frame_length(frame[:4], max_frame_bytes=50)
 
 
 def test_split_frame_rejects_empty():
     with pytest.raises(ProtocolError):
-        protocol.split_frame(b"")
+        protocol.split_request(b"")
+    with pytest.raises(ProtocolError):
+        protocol.split_reply(b"")
+
+
+def test_split_rejects_short_body():
+    # A valid checksum over too few header bytes.
+    short = b"\x03\x00"
+    body = short + zlib.crc32(short).to_bytes(4, "big")
+    with pytest.raises(ProtocolError, match="malformed request frame"):
+        protocol.split_request(body)
+    with pytest.raises(ProtocolError, match="malformed reply frame"):
+        protocol.split_reply(body)
+
+
+def test_split_rejects_a_damaged_body():
+    frame = bytearray(protocol.encode_reply(Opcode.R_DOC, 1, b"payload"))
+    frame[-6] ^= 0x01
+    with pytest.raises(ProtocolError, match="CRC32"):
+        protocol.split_reply(bytes(frame[4:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_frame_parsers_raise_only_protocol_errors(data):
+    """Untrusted bytes never escape as struct.error or IndexError."""
+    for parse in (
+        protocol.frame_length,
+        protocol.split_request,
+        protocol.split_reply,
+        protocol.unpack_hello,
+    ):
+        try:
+            parse(data)
+        except ProtocolError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=48))
+def test_frame_parsers_reject_checksummed_garbage_with_protocol_errors(content):
+    """Bodies that pass the CRC check still parse or raise ProtocolError."""
+    body = content + zlib.crc32(content).to_bytes(4, "big")
+    for parse in (protocol.split_request, protocol.split_reply):
+        try:
+            parse(body)
+        except ProtocolError:
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -55,17 +122,13 @@ def test_hello_roundtrip():
         protocol.PROTOCOL_VERSION,
         "wiki",
     )
-    # A legacy v1 HELLO is exactly the 5 original bytes and decodes with
-    # an empty (= default) archive name.
-    legacy = protocol.pack_hello(protocol.PROTOCOL_V1)
-    assert len(legacy) == 5
-    assert protocol.unpack_hello(legacy) == (protocol.PROTOCOL_V1, "")
     assert protocol.unpack_hello_reply(protocol.pack_hello_reply(1)) == 1
 
 
-def test_hello_v1_cannot_name_an_archive():
-    with pytest.raises(ProtocolError, match="version 1"):
-        protocol.pack_hello(protocol.PROTOCOL_V1, archive="wiki")
+def test_hello_requires_the_archive_name_field():
+    # The 5-byte HELLO of version-1 clients had no name field.
+    with pytest.raises(ProtocolError, match="malformed HELLO"):
+        protocol.unpack_hello(protocol.MAGIC + bytes([1]))
 
 
 def test_hello_rejects_oversized_archive_name():
@@ -75,7 +138,7 @@ def test_hello_rejects_oversized_archive_name():
 
 def test_hello_rejects_bad_magic():
     with pytest.raises(ProtocolError, match="magic"):
-        protocol.unpack_hello(b"HTTP\x01")
+        protocol.unpack_hello(b"HTTP\x05\x00\x00")
 
 
 def test_hello_rejects_wrong_size():
@@ -87,40 +150,6 @@ def test_hello_rejects_truncated_archive_name():
     whole = protocol.pack_hello(archive="wiki")
     with pytest.raises(ProtocolError, match="archive name"):
         protocol.unpack_hello(whole[:-2])
-
-
-def test_version_negotiation():
-    assert protocol.negotiate_version(protocol.PROTOCOL_VERSION) == (
-        protocol.PROTOCOL_VERSION
-    )
-    # A v1 client keeps speaking v1; a futuristic client negotiates down.
-    assert protocol.negotiate_version(protocol.PROTOCOL_V1) == protocol.PROTOCOL_V1
-    assert (
-        protocol.negotiate_version(protocol.PROTOCOL_VERSION + 7)
-        == protocol.PROTOCOL_VERSION
-    )
-    with pytest.raises(ProtocolError, match="version mismatch"):
-        protocol.negotiate_version(0)
-    with pytest.raises(ProtocolError, match="version mismatch"):
-        protocol.checked_version(99)
-    with pytest.raises(ProtocolError, match="version mismatch"):
-        protocol.checked_version(0)
-    assert protocol.checked_version(protocol.PROTOCOL_V1) == protocol.PROTOCOL_V1
-
-
-def test_v2_frame_roundtrip():
-    frame = protocol.encode_frame2(Opcode.GET, 0xDEADBEEF, b"payload")
-    length = protocol.frame_length(frame[:4])
-    assert length == len(frame) - 4
-    opcode, request_id, payload = protocol.split_frame2(frame[4:])
-    assert opcode == Opcode.GET
-    assert request_id == 0xDEADBEEF
-    assert payload == b"payload"
-
-
-def test_v2_frame_rejects_short_body():
-    with pytest.raises(ProtocolError, match="v2 frame"):
-        protocol.split_frame2(b"\x03\x00")
 
 
 def test_scan_roundtrip():
@@ -184,11 +213,12 @@ def test_documents_rejects_corrupt_batches(corrupt):
         protocol.unpack_documents(corrupt)
 
 
-def test_item_roundtrip():
-    doc_id, document = protocol.unpack_item(protocol.pack_item(42, b"body"))
-    assert (doc_id, document) == (42, b"body")
-    with pytest.raises(ProtocolError):
-        protocol.unpack_item(b"abc")
+def test_busy_roundtrip():
+    assert protocol.unpack_busy(protocol.pack_busy(25, 3)) == (25, 3)
+    assert protocol.unpack_busy(protocol.pack_busy(-5, 2**40)) == (0, 0xFFFFFFFF)
+    for malformed in (b"", b"\x00" * 7, b"\x00" * 9):
+        with pytest.raises(ProtocolError, match="busy"):
+            protocol.unpack_busy(malformed)
 
 
 def test_stats_roundtrip():
@@ -209,8 +239,10 @@ ALL_ERROR_CLASSES = sorted(protocol.ERROR_CODES, key=lambda cls: cls.__name__)
 @pytest.mark.parametrize("error_class", ALL_ERROR_CLASSES)
 def test_every_exported_error_roundtrips_exactly(error_class):
     """The wire must reproduce the concrete class, not an ancestor."""
-    frame = protocol.error_to_frame(error_class("the message"))
-    opcode, payload = protocol.split_frame(frame[4:])
+    frame = protocol.encode_reply(
+        Opcode.R_ERROR, 1, protocol.pack_error_for(error_class("the message"))
+    )
+    opcode, _, payload = protocol.split_reply(frame[4:])
     assert opcode == Opcode.R_ERROR
     with pytest.raises(error_class, match="the message") as excinfo:
         protocol.raise_error_frame(payload)
@@ -231,16 +263,14 @@ def test_unregistered_subclass_degrades_to_nearest_ancestor():
     class CustomStorageError(errors.StorageError):
         pass
 
-    frame = protocol.error_to_frame(CustomStorageError("deep failure"))
-    _, payload = protocol.split_frame(frame[4:])
+    payload = protocol.pack_error_for(CustomStorageError("deep failure"))
     with pytest.raises(errors.StorageError, match="deep failure") as excinfo:
         protocol.raise_error_frame(payload)
     assert type(excinfo.value) is errors.StorageError
 
 
 def test_non_repro_exception_degrades_to_repro_error():
-    frame = protocol.error_to_frame(ValueError("server bug"))
-    _, payload = protocol.split_frame(frame[4:])
+    payload = protocol.pack_error_for(ValueError("server bug"))
     with pytest.raises(errors.ReproError, match="server bug") as excinfo:
         protocol.raise_error_frame(payload)
     assert type(excinfo.value) is errors.ReproError

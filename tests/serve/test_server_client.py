@@ -129,7 +129,7 @@ def test_client_reconnects_after_server_restart(served_archive):
     client.close()
 
 
-def test_client_disconnect_mid_request_leaves_server_serving(served_archive):
+def test_client_disconnect_mid_request_leaves_server_serving(served_archive, wire):
     """A client that hangs up while its request decodes must not take the
     server (or the front) down — the next connection is served normally."""
     path, config, collection = served_archive
@@ -139,13 +139,9 @@ def test_client_disconnect_mid_request_leaves_server_serving(served_archive):
         from repro.serve import protocol
         from repro.serve.protocol import Opcode
 
-        raw = socket.create_connection((host, port), timeout=10)
-        raw.sendall(protocol.encode_frame(Opcode.HELLO, protocol.pack_hello()))
-        # Read the hello reply, then fire a request and vanish.
-        reply = raw.recv(64)
-        assert reply
+        raw = wire.dial(host, port)
         doc_id = sorted(d.doc_id for d in collection)[0]
-        raw.sendall(protocol.encode_frame(Opcode.GET, protocol.pack_doc_id(doc_id)))
+        raw.send(Opcode.GET, 1, protocol.pack_doc_id(doc_id))
         raw.close()
         # The server keeps serving new clients.
         with RlzClient(host, port) as client:
@@ -188,11 +184,16 @@ def test_async_client_matches_async_archive_surface(served_archive):
     asyncio.run(main())
 
 
-def test_async_client_pool_size_validation():
+def test_client_option_validation():
     with pytest.raises(ProtocolError):
-        AsyncRlzClient("127.0.0.1", 1, pool_size=0)
+        RlzClient("127.0.0.1", 1, pool_size=0)
     with pytest.raises(ProtocolError):
         RlzClient("127.0.0.1", 1, retries=-1)
+    with pytest.raises(ProtocolError):
+        AsyncRlzClient("127.0.0.1", 1, retries=-1)
+    # The async client multiplexes one connection: it has no pool to size.
+    with pytest.raises(TypeError):
+        AsyncRlzClient("127.0.0.1", 1, pool_size=2)
 
 
 def test_connection_refused_raises_after_retries():
@@ -262,7 +263,7 @@ def test_clients_constructed_outside_a_loop_work(served_archive):
             doc_ids = await client.doc_ids()
             document = await client.get(doc_ids[0])
             assert document == collection.document_by_id(doc_ids[0]).content
-            await client.gather(doc_ids[:4])  # exercises the pool lock
+            await client.gather(doc_ids[:4])  # exercises the mux lock
             await client.close()
         finally:
             await server.close()

@@ -110,10 +110,6 @@ SERVE_EXPORTS = {
     "ERROR_CODES",
     "MAGIC",
     "Opcode",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_V3",
-    "PROTOCOL_V4",
     "PROTOCOL_V5",
     "PROTOCOL_VERSION",
     "RebalanceReport",

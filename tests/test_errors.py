@@ -54,26 +54,16 @@ def test_wire_codes_globally_unique_and_cover_every_error_class():
     )
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
-def test_error_frames_round_trip_every_class_on_every_protocol_version(version):
+def test_error_frames_round_trip_every_class():
     from repro.serve import protocol
 
-    assert (protocol.PROTOCOL_V1, protocol.PROTOCOL_VERSION) == (1, 5)
     for error_class in protocol.ERROR_CODES:
         exc = error_class("boom goes the wire")
-        payload = protocol.pack_error_for(exc)
-        if version == protocol.PROTOCOL_V1:
-            frame = protocol.encode_frame(protocol.Opcode.R_ERROR, payload)
-            opcode, decoded = protocol.split_frame(frame[4:])
-        elif version == protocol.PROTOCOL_V2:
-            frame = protocol.encode_frame2(protocol.Opcode.R_ERROR, 7, payload)
-            opcode, request_id, decoded = protocol.split_frame2(frame[4:])
-            assert request_id == 7
-        else:  # v3+ replies: CRC-trailed framing
-            frame = protocol.encode_reply3(protocol.Opcode.R_ERROR, 7, payload)
-            opcode, request_id, decoded = protocol.split_reply3(frame[4:])
-            assert request_id == 7
-        assert opcode == protocol.Opcode.R_ERROR
+        frame = protocol.encode_reply(
+            protocol.Opcode.R_ERROR, 7, protocol.pack_error_for(exc)
+        )
+        opcode, request_id, decoded = protocol.split_reply(frame[4:])
+        assert (opcode, request_id) == (protocol.Opcode.R_ERROR, 7)
         with pytest.raises(error_class) as exc_info:
             protocol.raise_error_frame(decoded)
         assert type(exc_info.value) is error_class
