@@ -17,6 +17,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The native decode kernel's source, compiled on first use
+    # (see repro.core.native).
+    package_data={"repro.core": ["rlz_decode.c"]},
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",

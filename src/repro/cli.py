@@ -1125,7 +1125,8 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
                     f"busy={int(snapshot.get('busy_rejections', 0))} "
                     f"deadline={int(snapshot.get('deadline_rejections', 0))} "
                     f"wrong_shard={int(snapshot.get('wrong_shard_rejections', 0))} "
-                    f"overlay={int(snapshot.get('overlay_documents', 0))}",
+                    f"overlay={int(snapshot.get('overlay_documents', 0))} "
+                    f"decode_kernel={snapshot.get('decode_kernel', '?')}",
                     flush=True,
                 )
             if not args.watch:

@@ -89,12 +89,6 @@ def decode_vbyte(data: bytes, count: int | None = None) -> List[int]:
     return values
 
 
-def _decode_sparse(data: bytes, count: int | None) -> List[int]:
-    """The former sparse-stream path, now :func:`decode_vbyte` itself (the
-    decoder-parity tests still address it by this name)."""
-    return decode_vbyte(data, count)
-
-
 def decode_vbyte_array(data: bytes, count: int | None = None) -> np.ndarray:
     """Decode vbyte data into an integer array (contract of :func:`decode_vbyte`).
 

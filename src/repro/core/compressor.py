@@ -21,7 +21,6 @@ from typing import Dict, Iterator, List, Optional
 
 from ..corpus.document import DocumentCollection
 from ..errors import DecodingError
-from .decoder import decode_pairs
 from .dictionary import DictionaryConfig, RlzDictionary, build_dictionary
 from .encoder import PairEncoder
 from .factorizer import RlzFactorizer
@@ -113,15 +112,12 @@ class CompressedCollection:
 
     def decode_document(self, doc_id: int) -> bytes:
         """Random access: decode a single document by ID."""
-        blob = self.get_blob(doc_id)
-        positions, lengths = self._encoder.decode_streams(blob)
-        return decode_pairs(positions, lengths, self.dictionary)
+        return self._encoder.decode_document(self.get_blob(doc_id), self.dictionary)
 
     def iter_documents(self) -> Iterator[tuple[int, bytes]]:
         """Decode every document in collection order (sequential access)."""
         for document in self.documents:
-            positions, lengths = self._encoder.decode_streams(document.data)
-            yield document.doc_id, decode_pairs(positions, lengths, self.dictionary)
+            yield document.doc_id, self._encoder.decode_document(document.data, self.dictionary)
 
 
 @dataclass

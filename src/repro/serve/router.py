@@ -31,6 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.async_front import AsyncRlzArchive
 from ..api.config import ArchiveConfig, ServeSpec
+from ..core import native
 from ..errors import ConfigurationError, ProtocolError
 from ..search.serving import PostingsStore, index_sidecar_path
 from ..storage.partition import (
@@ -171,8 +172,13 @@ class ArchiveEntry:
         estimate = per_request * (self.waiting + 1) / max(1, self.max_inflight)
         return max(1, min(5000, int(estimate * 1000)))
 
-    def health(self) -> Dict[str, float]:
-        """This archive's readiness/load snapshot (the HEALTH payload)."""
+    def health(self) -> Dict[str, Union[float, str]]:
+        """This archive's readiness/load snapshot (the HEALTH payload).
+
+        ``decode_kernel`` is ``"native"`` or ``"python"``: the decoder the
+        open archive's scheme runs, or, before the archive is opened, the
+        one this process would use (loading the kernel if not yet loaded).
+        """
         return {
             "open": int(self.front is not None),
             "max_inflight": self.max_inflight,
@@ -190,6 +196,11 @@ class ArchiveEntry:
             "wrong_shard_rejections": self.wrong_shard_rejections,
             "search_index": int(self.search_index is not None),
             "search_requests": self.search_requests,
+            "decode_kernel": (
+                self.front.archive.store.decode_kernel
+                if self.front is not None
+                else native.decoder_name()
+            ),
         }
 
     def stats_into(self, snapshot: Dict[str, float]) -> None:
@@ -513,7 +524,7 @@ class RlzRouter:
             snapshot.update(default.front.stats())
         return snapshot
 
-    def health(self) -> Dict[str, Dict[str, float]]:
+    def health(self) -> Dict[str, Dict[str, Union[float, str]]]:
         """Readiness/load per archive (the HEALTH response payload).
 
         Pure bookkeeping — never opens a front or touches the gate, so it

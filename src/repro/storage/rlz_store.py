@@ -5,7 +5,10 @@ container file and serves documents from it the way the paper's system
 does: the dictionary is loaded once and kept resident in memory, the
 document map gives the on-disk extent of each encoded document, and a
 request reads exactly that extent, decodes the pair streams and copies the
-factors out of the in-memory dictionary.
+factors out of the in-memory dictionary.  Every read decodes through
+:meth:`repro.core.PairEncoder.decode_document` (or ``decode_window``): one
+native kernel call for the paper's four schemes, the Python decoder for
+other schemes, without a compiler, and for every blob the kernel rejects.
 
 All reads are charged to a :class:`repro.storage.DiskModel`, so the
 benchmark harness can report retrieval rates in the disk-bound regime of
@@ -26,10 +29,11 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.compressor import CompressedCollection
-from ..core.decoder import decode_many, decode_pairs
+
+# A module attribute only: benchmarks/e2e/spans.py patches
+# ``rlz_store.decode_pairs`` to trace the Python decoder.
+from ..core.decoder import decode_pairs  # noqa: F401
 from ..core.dictionary import RlzDictionary
 from ..core.encoder import PairEncoder
 from ..errors import StorageError, StoreClosedError
@@ -213,6 +217,11 @@ class RlzStore:
         """The decode-cache tier serving this store."""
         return self._cache
 
+    @property
+    def decode_kernel(self) -> str:
+        """``"native"`` or ``"python"``: the decoder serving this store."""
+        return self._encoder.decode_kernel
+
     def compression_percent(self, include_dictionary: bool = False) -> float:
         """Stored payload (optionally plus dictionary) as % of original size."""
         payload = sum(entry.length for entry in self._header.document_map)
@@ -273,26 +282,24 @@ class RlzStore:
         cached = self._cache.get(doc_id)
         if cached is not None:
             return cached
-        entry = self._header.document_map.lookup(doc_id)
-        blob = self._read_blob(entry)
-        positions, lengths = self._encoder.decode_streams(blob)
-        document = decode_pairs(positions, lengths, self._dictionary)
-        self._decoded_bytes += len(document)
+        document = self._decode(self._header.document_map.lookup(doc_id))
         self._cache.put(doc_id, document)
+        return document
+
+    def _decode(self, entry: DocumentEntry) -> bytes:
+        """Read and decode one document, charging ``decoded_bytes``."""
+        document = self._encoder.decode_document(self._read_blob(entry), self._dictionary)
+        self._decoded_bytes += len(document)
         return document
 
     def get_window(self, doc_id: int, start: int, length: int) -> bytes:
         """Partial decode: ``length`` bytes of one document from ``start``.
 
         Only the factors whose output intersects ``[start, start+length)``
-        are materialised.  The pair streams are decoded as arrays, one
-        ``np.cumsum`` of the per-factor output lengths gives every factor's
-        end offset, and two ``np.searchsorted`` calls find the covering
-        range ``[first, last]``; :func:`repro.core.decode_pairs` runs on
-        that sub-range only, with the partial head/tail factors trimmed
-        afterwards.  The window is clamped to the document, so over-long
-        requests return what exists; a window entirely past the end
-        returns ``b""``.
+        are materialised (:meth:`repro.core.PairEncoder.decode_window`), and
+        only their output is charged to :attr:`decoded_bytes`.  The window
+        is clamped to the document, so over-long requests return what
+        exists; a window entirely past the end returns ``b""``.
 
         This is the snippet-serving path: a SEARCH hit knows the byte
         offset of its first matching term, and the server decodes a window
@@ -305,31 +312,17 @@ class RlzStore:
                 f"got start={start} length={length}"
             )
         entry = self._header.document_map.lookup(doc_id)
-        blob = self._read_blob(entry)
-        positions, lengths = self._encoder.decode_arrays(blob)
-        # A literal factor (length 0) outputs exactly one byte.
-        factor_ends = np.cumsum(np.maximum(lengths, 1))
-        end = min(start + length, int(factor_ends[-1]) if len(factor_ends) else 0)
-        if start >= end:
-            return b""
-        first = int(np.searchsorted(factor_ends, start, side="right"))
-        last = int(np.searchsorted(factor_ends, end, side="left"))
-        skip = start - (int(factor_ends[first - 1]) if first else 0)
-        window = decode_pairs(
-            positions[first : last + 1].tolist(),
-            lengths[first : last + 1].tolist(),
-            self._dictionary,
+        window, covered = self._encoder.decode_window(
+            self._read_blob(entry), self._dictionary, start, length
         )
-        self._decoded_bytes += len(window)
-        return bytes(window[skip : skip + (end - start)])
+        self._decoded_bytes += covered
+        return window
 
     def get_many(self, doc_ids: Sequence[int]) -> List[bytes]:
-        """Batch random access: decode several documents in one pass.
+        """Batch random access: decode several documents.
 
-        The decode work is batched — IDs that are not already cached are
-        read once and batch-decoded with :func:`repro.core.decode_many`
-        (one vectorized gather for the whole batch, repeated IDs decoded
-        only once) — but the cache *accounting* replays the accesses in
+        Each ID that is not already cached is read and decoded once, even
+        when repeated, but the cache *accounting* replays the accesses in
         request order through exactly the :meth:`get` code path: the same
         sequence of IDs produces the same hit/miss counters, the same cache
         contents and the same recency whether it is issued through ``get``
@@ -338,25 +331,11 @@ class RlzStore:
         """
         self._ensure_open()
         # Pass 1 — peek (no counter or recency side effects) to find the IDs
-        # that will need a decode, then batch-decode them in one call.
-        to_decode: List[int] = []
-        seen: set = set()
-        for doc_id in doc_ids:
-            if doc_id in seen:
-                continue
-            seen.add(doc_id)
-            if not self._cache.peek(doc_id):
-                to_decode.append(doc_id)
+        # that will need a decode, and decode each of them once.
         decoded: Dict[int, bytes] = {}
-        if to_decode:
-            streams = []
-            for doc_id in to_decode:
-                entry = self._header.document_map.lookup(doc_id)
-                blob = self._read_blob(entry)
-                streams.append(self._encoder.decode_streams(blob))
-            for doc_id, document in zip(to_decode, decode_many(streams, self._dictionary)):
-                decoded[doc_id] = document
-                self._decoded_bytes += len(document)
+        for doc_id in doc_ids:
+            if doc_id not in decoded and not self._cache.peek(doc_id):
+                decoded[doc_id] = self._decode(self._header.document_map.lookup(doc_id))
         # Pass 2 — replay the accesses in order with get's exact accounting.
         results: List[bytes] = []
         for doc_id in doc_ids:
@@ -369,12 +348,8 @@ class RlzStore:
                 # The ID was cached at peek time but evicted during this
                 # replay (possible only when the batch overflows a small
                 # cache): decode it individually, exactly as ``get`` would.
-                entry = self._header.document_map.lookup(doc_id)
-                blob = self._read_blob(entry)
-                positions, lengths = self._encoder.decode_streams(blob)
-                document = decode_pairs(positions, lengths, self._dictionary)
+                document = self._decode(self._header.document_map.lookup(doc_id))
                 decoded[doc_id] = document
-                self._decoded_bytes += len(document)
             results.append(document)
             self._cache.put(doc_id, document)
         return results
@@ -383,11 +358,7 @@ class RlzStore:
         """Sequential access: decode every document in store order."""
         self._ensure_open()
         for entry in self._header.document_map:
-            blob = self._read_blob(entry)
-            positions, lengths = self._encoder.decode_streams(blob)
-            document = decode_pairs(positions, lengths, self._dictionary)
-            self._decoded_bytes += len(document)
-            yield entry.doc_id, document
+            yield entry.doc_id, self._decode(entry)
 
     def close(self) -> None:
         """Close the file handle and the cache tier (idempotent)."""

@@ -25,7 +25,6 @@ from repro.coding import (
     decode_vbyte_array,
     encode_vbyte,
 )
-from repro.coding import vbyte
 from repro.errors import DecodingError
 
 EDGES = [0, 1, 127, 128, 2**14, 2**40, 2**63 - 1, 2**63, 2**64]
@@ -40,11 +39,10 @@ CODECS = {
 }
 
 
-#: Every vbyte decoder, as ``(data, count) -> list``: the public one, its
-#: numpy-free path for sparse streams, and the array decode.
+#: Every vbyte decoder, as ``(data, count) -> list``: the list decode and
+#: the array decode.
 VBYTE_DECODERS = [
     decode_vbyte,
-    vbyte._decode_sparse,
     lambda data, count: decode_vbyte_array(data, count).tolist(),
 ]
 

@@ -38,3 +38,15 @@ def gov_compressed(gov_small, gov_dictionary):
     """The small .gov collection compressed with the ZV scheme."""
     compressor = RlzCompressor(dictionary=gov_dictionary, scheme="ZV")
     return compressor.compress(gov_small)
+
+
+@pytest.fixture(scope="module")
+def python_decoder():
+    """Turn the native decode kernel off for a module's tests, so every
+    decode takes the Python path a process without a C compiler serves."""
+    from repro.core import native
+
+    saved = native._kernel
+    native._kernel = None
+    yield
+    native._kernel = saved

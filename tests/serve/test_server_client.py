@@ -279,3 +279,28 @@ def test_background_server_stats_snapshot(live_server):
     assert live["server_requests"] >= 2
     final = live_server.stats()
     assert final["server_requests"] >= live["server_requests"]
+
+
+@pytest.mark.parametrize("kernel_on", [True, False])
+def test_health_and_stats_report_the_decode_kernel(
+    served_archive, monkeypatch, capsys, kernel_on
+):
+    from repro.cli import main
+    from repro.core import native
+
+    if kernel_on and not native.available():
+        pytest.skip("the native decode kernel is unavailable (no C compiler?)")
+    if not kernel_on:
+        monkeypatch.setattr(native, "_kernel", None)
+    expected = "native" if kernel_on else "python"
+    path, config, collection = served_archive
+    with BackgroundServer(path, config) as server:
+        host, port = server.address
+        with RlzClient(host, port) as client:
+            (before,) = client.health().values()  # archive not opened yet
+            doc_id = client.doc_ids()[0]
+            assert client.get(doc_id) == collection.document_by_id(doc_id).content
+            (after,) = client.health().values()
+        assert main(["stats", "--connect", f"{host}:{port}"]) == 0
+    assert before["decode_kernel"] == after["decode_kernel"] == expected
+    assert capsys.readouterr().out.rstrip().endswith(f"decode_kernel={expected}")
