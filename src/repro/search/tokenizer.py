@@ -63,7 +63,9 @@ def _offset_preserving_lower(text: str) -> str:
     ``str.lower`` maps a handful of characters (e.g. ``İ``) to multi-
     character sequences, which would shift every following offset; those
     rare characters are left unchanged instead (they are not term
-    characters anyway — terms are ASCII alphanumeric runs).
+    characters anyway — terms are ASCII alphanumeric runs).  Both
+    tokenizers fold with it, so a document's terms do not depend on
+    whether its offsets were asked for.
     """
     lowered = text.lower()
     if len(lowered) == len(text):
@@ -81,7 +83,7 @@ def tokenize_text(text: str, remove_stopwords: bool = True) -> List[str]:
     Markup is stripped first so that tag and attribute names do not dominate
     the vocabulary of web documents.
     """
-    stripped = strip_markup(text).lower()
+    stripped = _offset_preserving_lower(strip_markup(text))
     terms = _TERM_PATTERN.findall(stripped)
     if remove_stopwords:
         return [term for term in terms if term not in STOPWORDS]

@@ -75,7 +75,7 @@ its store, and answers ``R_SHARD_MAP`` with the map it now serves.
 The *search-serving* opcode: ``SEARCH`` carries a query string, the
 requested ``top_k``, a snippet window size in bytes and a flags byte; the
 server ranks its shard-local :class:`~repro.search.serving.PostingsStore`
-with doc-at-a-time BM25 and answers ``R_SEARCH`` with scored hits (plus a
+with term-at-a-time BM25 and answers ``R_SEARCH`` with scored hits (plus a
 query-biased snippet decoded through the windowed partial-decode path
 when a window was requested).  Two flag bits drive sharded fan-out: a
 *stats-only* SEARCH returns the shard's local term statistics instead of

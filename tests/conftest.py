@@ -8,6 +8,12 @@ suite under ``benchmarks/`` is where realistic sizes are exercised.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+
+# Generated properties that leave ``max_examples`` to the profile run at
+# hypothesis's default budget in tier-1; CI runs the search parity and
+# sidecar fuzz properties again with ``--hypothesis-profile=large``.
+settings.register_profile("large", max_examples=2000)
 
 from repro.core import DictionaryConfig, RlzCompressor, build_dictionary
 from repro.corpus import generate_gov_collection, generate_wikipedia_collection

@@ -14,12 +14,21 @@ What must hold, because the serving stack leans on it:
   scores — the heart of the exact sharded fan-out;
 * tie-breaking is deterministic (ascending doc id) across every ranked
   path: ``rank_scores``, ``InvertedIndex.search``/``search_many`` and
-  ``PostingsStore.search``.
+  ``PostingsStore.search``;
+* the sidecar bytes are pinned: the writer's output over ``gov_small``
+  has a recorded SHA-256, so a layout change cannot fork the format.
+
+The generated properties take their example budget from the hypothesis
+profile (``--hypothesis-profile=large`` raises it; see ``conftest.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CorruptArchiveError, SearchError, StorageError
 from repro.search import (
@@ -32,6 +41,7 @@ from repro.search import (
     tokenize_text,
     write_postings,
 )
+from repro.search.tokenizer import tokenize_with_offsets
 
 
 def _documents(collection):
@@ -95,6 +105,32 @@ def test_bytes_and_str_documents_index_identically(tmp_path):
     a = build_postings(text_docs)
     b = build_postings(byte_docs)
     assert a.search("quick fox dogs") == b.search("quick fox dogs")
+
+
+#: SHA-256 of ``write_postings`` over ``gov_small``, recorded from the
+#: dict-of-lists writer the columnar layout replaced.
+GOV_SMALL_SIDECAR_SHA256 = (
+    "8e683ff912b8ea34c2dad4fd8421d56f421c88769097dd8de5781a8c13d643a5"
+)
+
+
+def test_sidecar_bytes_match_the_pinned_digest(tmp_path, gov_small):
+    path = write_postings(_documents(gov_small), tmp_path / "gov.idx")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOV_SMALL_SIDECAR_SHA256
+    rewritten = PostingsStore.open(path).write(tmp_path / "again.idx")
+    assert rewritten.read_bytes() == path.read_bytes()
+
+
+def test_empty_index_round_trips(tmp_path):
+    store = PostingsStore.open(build_postings([]).write(tmp_path / "empty.idx"))
+    assert (store.num_documents, store.num_terms, store.total_doc_length) == (0, 0, 0)
+    assert store.search("anything") == []
+    assert store.postings("anything") == []
+
+
+def test_doc_length_of_an_unindexed_document_raises_key_error(built):
+    with pytest.raises(KeyError):
+        built.doc_length(10**9)
 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path, built):
@@ -274,3 +310,99 @@ def test_postings_store_tie_break_matches(tmp_path):
         results = index.search("identical content", top_k=4)
         assert [hit.doc_id for hit in results] == [3, 5, 8, 11]
         assert len({hit.score for hit in results}) == 1
+
+
+# ----------------------------------------------------------------------
+# Generated parity with the in-memory index
+# ----------------------------------------------------------------------
+_WORDS = ["alpha", "beta", "gamma", "x1", "zz", "caf", "the", "and", "naïve", "café"]
+_SEPARATORS = [" ", ", ", " — ", "\n", " <b>", "</b> ", " é ", " 日本 ", " İ "]
+
+_word = st.sampled_from(_WORDS) | st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6
+)
+_document = st.lists(
+    st.tuples(_word, st.sampled_from(_SEPARATORS)), max_size=12
+).map(lambda parts: "".join(word + separator for word, separator in parts))
+_corpus = st.lists(_document, min_size=1, max_size=8).flatmap(
+    # Duplicated texts make tied scores; ids are distinct but unordered.
+    lambda texts: st.lists(st.sampled_from(texts), min_size=1, max_size=10)
+).flatmap(
+    lambda texts: st.permutations(range(1, 3 * len(texts) + 1)).map(
+        lambda ids: list(zip(ids, texts))
+    )
+)
+_query = st.lists(
+    st.sampled_from(_WORDS + ["nomatch"]) | _word, min_size=0, max_size=4
+).map(" ".join)
+
+
+def _first_byte_offset(text, term):
+    """Byte offset of ``term``'s first occurrence as a token of ``text``."""
+    for token, char_offset in tokenize_with_offsets(text):
+        if token == term:
+            return len(text[:char_offset].encode("utf-8"))
+    return None
+
+
+@settings(deadline=None)
+@given(corpus=_corpus, queries=st.lists(_query, min_size=1, max_size=4))
+def test_postings_search_equals_inverted_index(tmp_path_factory, corpus, queries):
+    reference = InvertedIndex()
+    for doc_id, text in corpus:
+        reference.add_document(doc_id, text)
+    built = build_postings(corpus)
+    path = built.write(tmp_path_factory.mktemp("parity") / "p.idx")
+    texts = dict(corpus)
+    for store in (built, PostingsStore.open(path)):
+        for query in queries:
+            expected = reference.search(query, top_k=len(corpus))
+            actual = store.search(query, top_k=len(corpus))
+            assert [(hit.doc_id, hit.score) for hit in actual] == [
+                (hit.doc_id, hit.score) for hit in expected
+            ]
+            terms = set(tokenize_text(query))
+            for hit in actual:
+                text = texts[hit.doc_id]
+                offsets = [_first_byte_offset(text, term) for term in terms]
+                assert hit.hit_offset == min(o for o in offsets if o is not None)
+
+
+def test_parity_survives_offset_shifting_case_folds():
+    """Shrunk from the property above: İ once tokenized differently for the
+    two indexes, so their document lengths (and scores) disagreed."""
+    corpus = [(1, "alpha "), (2, "alpha İ ")]
+    reference = InvertedIndex()
+    for doc_id, text in corpus:
+        reference.add_document(doc_id, text)
+    actual = build_postings(corpus).search("alpha")
+    assert [(hit.doc_id, hit.score) for hit in actual] == [
+        (hit.doc_id, hit.score) for hit in reference.search("alpha")
+    ]
+
+
+@settings(deadline=None)
+@given(corpus=_corpus, query=_query, seed=st.integers(0, 2**32 - 1))
+def test_summed_shard_stats_reproduce_the_single_index(corpus, query, seed):
+    """A random 3-way split, scored with summed stats, ranks like one index."""
+    assignment = random.Random(seed)
+    parts = [[], [], []]
+    for document in corpus:
+        parts[assignment.randrange(3)].append(document)
+    shards = [build_postings(part) for part in parts]
+    num_documents, total_length, frequencies = 0, 0, {}
+    for shard in shards:
+        n, length, shard_frequencies = shard.term_stats(query)
+        num_documents += n
+        total_length += length
+        for term, df in shard_frequencies.items():
+            frequencies[term] = frequencies.get(term, 0) + df
+    stats = GlobalStats(num_documents, total_length, frequencies)
+    merged = [
+        hit
+        for shard in shards
+        for hit in shard.search(query, top_k=len(corpus), global_stats=stats)
+    ]
+    merged.sort(key=lambda hit: (-hit.score, hit.doc_id))
+    single = build_postings(corpus).search(query, top_k=len(corpus))
+    assert merged == single

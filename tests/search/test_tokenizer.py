@@ -122,3 +122,13 @@ def test_tokenize_with_offsets_survives_offset_shifting_case_folds():
 def test_tokenize_with_offsets_agrees_with_tokenize_text():
     text = '<p>The quick <b>brown</b> fox — and the lazy dog</p>'
     assert [term for term, _ in tokenize_with_offsets(text)] == tokenize_text(text)
+
+
+def test_tokenize_text_agrees_on_offset_shifting_case_folds():
+    # Shrunk from the PostingsStore/InvertedIndex parity property: İ used
+    # to fold to "i" + U+0307 in tokenize_text only, so the in-memory index
+    # counted a term "i" the postings builder never saw, and the two
+    # disagreed on document lengths and therefore on every score.
+    text = "alpha İ beta"
+    assert tokenize_text(text) == ["alpha", "beta"]
+    assert [term for term, _ in tokenize_with_offsets(text)] == tokenize_text(text)
