@@ -178,7 +178,6 @@ class RlzArchive:
             workers=config.parallel.workers,
             start_method=config.parallel.start_method,
             share_memory=config.parallel.share_memory,
-            jump_start=spec.jump_start,
         )
         compressed = compressor.compress(collection)
         RlzStore.write(compressed, path)

@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _SAMPLING_POLICIES = ("uniform", "prefix", "random_documents")
-_JUMP_MODES = ("auto", "dict", "compact", "off")
 _CACHE_TIERS = ("none", "lru", "shared")
 _START_METHODS = ("fork", "spawn", "forkserver")
 
@@ -69,7 +68,6 @@ class DictionarySpec:
     seed: int = 0
     sa_algorithm: str = "doubling"
     accelerated: bool = True
-    jump_start: str = "auto"
 
     def __post_init__(self) -> None:
         if self.size is not None and self.size <= 0:
@@ -83,11 +81,6 @@ class DictionarySpec:
             )
         if not 0.0 < self.prefix_fraction <= 1.0:
             raise ConfigurationError("prefix_fraction must be in (0, 1]")
-        if self.jump_start not in _JUMP_MODES:
-            raise ConfigurationError(
-                f"unknown jump_start mode {self.jump_start!r}; "
-                f"expected one of {_JUMP_MODES}"
-            )
 
     def sized_for(self, total_bytes: int) -> int:
         """The concrete dictionary size for a collection of ``total_bytes``."""

@@ -19,7 +19,7 @@ from .experiments import (
     rlz_retrieval_table,
     sampling_policy_ablation_table,
 )
-from .fastpath import fastpath_benchmark, vectorized_benchmark
+from .fastpath import fastpath_benchmark
 from .harness import EXPERIMENTS, run_all, run_experiment
 from .cluster import cluster_benchmark
 from .loadgen import LOAD_SCALES, LoadScale, load_benchmark, load_scale
@@ -57,6 +57,5 @@ __all__ = [
     "run_experiment",
     "sampling_policy_ablation_table",
     "serving_benchmark",
-    "vectorized_benchmark",
     "wiki_collection",
 ]

@@ -13,8 +13,9 @@ Measured pipelines:
 * ``encode/seed``      — per-factor ``searchsorted`` over the full key
   array, lazily built key levels, ``Factor`` objects materialised per
   factor (the seed's ``factorize`` + ``encode``);
-* ``encode/fast``      — jump-start index + eager key levels +
-  stream-based factorization (``factorize_streams`` + ``encode_streams``);
+* ``encode/fast``      — the match engine (jump-start index + one
+  lcp-aware bisect per factor) with stream-based factorization
+  (``factorize_streams`` + ``encode_streams``);
 * ``encode/parallel``  — the same fast path fanned out over a
   :class:`repro.core.ParallelCompressor` pool;
 * ``decode/seed``      — the seed's per-factor ``bytearray`` append loop;
@@ -51,7 +52,6 @@ __all__ = [
     "fastpath_benchmark",
     "large_dictionary_benchmark",
     "seed_decode_pairs",
-    "vectorized_benchmark",
     "SeedFactorizer",
 ]
 
@@ -742,124 +742,6 @@ def large_dictionary_benchmark(
                 "streams_identical": streams_identical,
                 "roundtrip_ok": roundtrip_ok,
             },
-        }
-        path = _append_json_record(output_json, record)
-        table.add_note(f"JSON record appended to {path}")
-
-    return table
-
-
-def vectorized_benchmark(
-    collection: Optional[DocumentCollection] = None,
-    corpus_bytes: int = 32 << 20,
-    dictionary_bytes: int = 8 << 20,
-    rounds: int = 1,
-    scale_label: str = "custom",
-    output_json: Optional[str | Path] = None,
-) -> ResultTable:
-    """Single-bisect match engine vs the scalar accelerated loop.
-
-    The vectorized engine (:meth:`repro.suffix.SuffixArray.match_stream`)
-    resolves each factor with one lcp-aware binary search over its
-    jump-start interval and batches cold jump-index probes through
-    ``get_batch``; the scalar loop refines the interval key level by key
-    level with one probe per factor.  Both are exact, so this experiment
-    asserts byte-identical ``(positions, lengths)`` streams in the same
-    run that it measures the speedup — the acceptance gate for the
-    fast-path PR is the recorded ``speedup`` at paper scale.
-
-    Records are appended to the same JSON history as
-    :func:`fastpath_benchmark` with ``"benchmark": "fastpath-vectorized"``
-    and a ``scale`` label from the load-testing taxonomy
-    (:mod:`repro.bench.loadgen`); the frozen seed baselines are untouched.
-    """
-    from ..corpus import generate_gov_collection
-
-    if collection is None:
-        document_size = 18 * 1024
-        num_documents = max(8, corpus_bytes // document_size)
-        collection = generate_gov_collection(
-            num_documents=num_documents,
-            target_document_size=document_size,
-            seed=42,
-        )
-    documents = [bytes(document.content) for document in collection]
-    total_bytes = sum(len(document) for document in documents)
-
-    config = DictionaryConfig(size=dictionary_bytes, sample_size=1024)
-    dictionary = build_dictionary(collection, config)
-    factorizer = RlzFactorizer(dictionary)
-    suffix_array = dictionary.suffix_array
-
-    scalar_streams: List[Tuple[List[int], List[int]]] = []
-    engine_streams: List[Tuple[List[int], List[int]]] = []
-
-    def run_scalar() -> None:
-        scalar_streams.clear()
-        scalar_streams.extend(
-            factorizer.factorize_streams(document) for document in documents
-        )
-
-    def run_engine() -> None:
-        engine_streams.clear()
-        engine_streams.extend(
-            factorizer.factorize_streams(document) for document in documents
-        )
-
-    try:
-        suffix_array.vectorize = False
-        scalar_elapsed = _best_of(rounds, run_scalar)
-        suffix_array.vectorize = True
-        engine_elapsed = _best_of(rounds, run_engine)
-    finally:
-        suffix_array.vectorize = None  # back to automatic routing
-
-    identical = scalar_streams == engine_streams
-    if not identical:
-        raise AssertionError(
-            "vectorized engine diverged from the scalar factorization"
-        )
-    probe = suffix_array.probe_cache_info()
-    stats = suffix_array.acceleration_stats()
-
-    scalar_mbs = _throughput(total_bytes, scalar_elapsed)
-    engine_mbs = _throughput(total_bytes, engine_elapsed)
-    speedup = scalar_elapsed / engine_elapsed if engine_elapsed > 0 else 0.0
-
-    table = ResultTable(
-        title="Vectorized factorization engine vs the scalar accelerated loop",
-        headers=["Pipeline", "Seconds", "MB/s", "Speedup"],
-    )
-    table.add_row("encode/scalar", scalar_elapsed, scalar_mbs, 1.0)
-    table.add_row("encode/vectorized", engine_elapsed, engine_mbs, speedup)
-    table.add_note(
-        f"corpus {total_bytes / 1e6:.1f} MB over {len(documents)} documents, "
-        f"dictionary {len(dictionary) / 1e6:.1f} MB "
-        f"(jump index: {suffix_array.jump_index_kind})"
-    )
-    table.add_note("factor streams byte-identical: True (asserted in-run)")
-    table.add_note(
-        f"batch probes: {probe['batch_hits']} hits / "
-        f"{probe['batch_misses']} misses; scalar probe cache: "
-        f"{probe['hits']} hits / {probe['misses']} misses"
-    )
-
-    if output_json is not None:
-        record = {
-            "benchmark": "fastpath-vectorized",
-            "scale": scale_label,
-            "collection": collection.name,
-            "documents": len(documents),
-            "corpus_bytes": total_bytes,
-            "dictionary_bytes": len(dictionary),
-            "rounds": rounds,
-            "jump_index_kind": suffix_array.jump_index_kind,
-            "scalar": {"seconds": scalar_elapsed, "mb_per_s": scalar_mbs},
-            "vectorized": {"seconds": engine_elapsed, "mb_per_s": engine_mbs},
-            "speedup": speedup,
-            "verified": identical,
-            "probe_cache": probe,
-            "scalar_nbytes": stats["scalar_nbytes"],
         }
         path = _append_json_record(output_json, record)
         table.add_note(f"JSON record appended to {path}")

@@ -24,11 +24,7 @@ from .experiments import (
     rlz_retrieval_table,
     sampling_policy_ablation_table,
 )
-from .fastpath import (
-    fastpath_benchmark,
-    large_dictionary_benchmark,
-    vectorized_benchmark,
-)
+from .fastpath import fastpath_benchmark, large_dictionary_benchmark
 from .chaos import chaos_benchmark
 from .cluster import cluster_benchmark
 from .partition import partition_benchmark
@@ -127,12 +123,6 @@ def _fastpath_serving() -> ResultTable:
     return serving_benchmark()
 
 
-def _fastpath_vectorized() -> ResultTable:
-    # CI-friendly sizes; the paper-scale acceptance runs go through
-    # repro.bench.vectorized_benchmark with explicit corpus/dictionary.
-    return vectorized_benchmark(corpus_bytes=4 << 20, dictionary_bytes=2 << 20)
-
-
 def _fastpath_network() -> ResultTable:
     return network_benchmark()
 
@@ -172,7 +162,6 @@ EXPERIMENTS: Dict[str, Callable[[], ResultTable]] = {
     "fastpath": _fastpath,
     "fastpath-large-dict": _fastpath_large_dict,
     "fastpath-serving": _fastpath_serving,
-    "fastpath-vectorized": _fastpath_vectorized,
     "fastpath-network": _fastpath_network,
     "fastpath-cluster": _fastpath_cluster,
     "fastpath-chaos": _fastpath_chaos,

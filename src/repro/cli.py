@@ -196,13 +196,6 @@ def compress_main(argv: Optional[Sequence[str]] = None) -> int:
         "per worker (default: auto)",
     )
     parser.add_argument(
-        "--jump-index",
-        choices=("auto", "dict", "compact", "off"),
-        default="auto",
-        help="jump-start index representation (auto: hash dict for small "
-        "dictionaries, compact numpy index for multi-MB ones)",
-    )
-    parser.add_argument(
         "--search-index",
         action="store_true",
         help="also write the <output>.idx posting-list sidecar so the "
@@ -227,7 +220,6 @@ def compress_main(argv: Optional[Sequence[str]] = None) -> int:
             workers=args.workers,
             start_method=args.start_method,
             share_memory=args.share_memory,
-            jump_start=args.jump_index,
         )
         compressed = compressor.compress(collection)
         RlzStore.write(compressed, args.output)

@@ -164,10 +164,6 @@ class RlzCompressor:
         the ``multiprocessing`` start method, and whether non-``fork``
         workers attach the dictionary through shared memory (``None`` auto)
         instead of rebuilding the suffix array from pickled bytes.
-    jump_start:
-        Jump-index configuration for a dictionary built by this compressor:
-        ``True``/``"auto"`` (size-based default), ``"dict"``, ``"compact"``
-        or ``False``/``"off"``.  Ignored when ``dictionary`` is supplied.
     """
 
     def __init__(
@@ -180,7 +176,6 @@ class RlzCompressor:
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
         share_memory: Optional[bool] = None,
-        jump_start: bool | str = True,
     ) -> None:
         self._dictionary = dictionary
         self._dictionary_config = dictionary_config
@@ -190,7 +185,6 @@ class RlzCompressor:
         self._workers = workers
         self._start_method = start_method
         self._share_memory = share_memory
-        self._jump_start = jump_start
 
     @property
     def scheme_name(self) -> str:
@@ -215,7 +209,6 @@ class RlzCompressor:
             self._dictionary_config,
             sa_algorithm=self._sa_algorithm,
             accelerated=self._accelerated,
-            jump_start=self._jump_start,
         )
         return self._dictionary
 

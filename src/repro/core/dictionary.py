@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class RlzDictionary:
         config: Optional[DictionaryConfig] = None,
         sa_algorithm: str = "doubling",
         accelerated: bool = True,
-        jump_start: Union[bool, str] = True,
     ) -> None:
         if not data:
             raise DictionaryError("dictionary must not be empty")
@@ -93,7 +92,6 @@ class RlzDictionary:
         self._config = config
         self._sa_algorithm = sa_algorithm
         self._accelerated = accelerated
-        self._jump_start = jump_start
         self._suffix_array: Optional[SuffixArray] = None
         self._decode_table = None
 
@@ -105,7 +103,6 @@ class RlzDictionary:
         config: Optional[DictionaryConfig] = None,
         sa_algorithm: str = "doubling",
         accelerated: bool = True,
-        jump_start: Union[bool, str] = True,
     ) -> "RlzDictionary":
         """A dictionary wrapping an already-built :class:`SuffixArray`.
 
@@ -119,7 +116,6 @@ class RlzDictionary:
             config=config,
             sa_algorithm=sa_algorithm,
             accelerated=accelerated,
-            jump_start=jump_start,
         )
         dictionary._suffix_array = suffix_array
         return dictionary
@@ -144,11 +140,6 @@ class RlzDictionary:
         """Whether the suffix array is built with 8-byte-key acceleration."""
         return self._accelerated
 
-    @property
-    def jump_mode(self) -> str:
-        """Normalised jump-start mode (``auto``/``dict``/``compact``/``off``)."""
-        return SuffixArray._normalize_jump_mode(self._jump_start)
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -160,7 +151,6 @@ class RlzDictionary:
                 self._data,
                 algorithm=self._sa_algorithm,
                 accelerated=self._accelerated,
-                jump_start=self._jump_start,
             )
         return self._suffix_array
 
@@ -193,7 +183,6 @@ class RlzDictionary:
             config=self._config,
             sa_algorithm=self._sa_algorithm,
             accelerated=self._accelerated,
-            jump_start=self._jump_start,
         )
 
 
@@ -272,7 +261,6 @@ def build_dictionary(
     config: DictionaryConfig,
     sa_algorithm: str = "doubling",
     accelerated: bool = True,
-    jump_start: Union[bool, str] = True,
 ) -> RlzDictionary:
     """Build an :class:`RlzDictionary` from ``collection`` per ``config``."""
     text = collection.concatenate()
@@ -287,5 +275,4 @@ def build_dictionary(
         config=config,
         sa_algorithm=sa_algorithm,
         accelerated=accelerated,
-        jump_start=jump_start,
     )

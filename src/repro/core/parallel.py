@@ -3,8 +3,8 @@
 Factorization is embarrassingly parallel — every document is parsed against
 the same read-only dictionary — so the encode path scales across cores by
 chunking the document list over a ``multiprocessing`` pool.  The dictionary
-(and its fully built suffix-array acceleration state: key levels, jump-start
-index, suffix-array list) is shared with the workers read-only:
+(and its fully built suffix-array acceleration state: keys, jump-start
+index, the match engine's scalar arrays) is shared with the workers read-only:
 
 * with the ``fork`` start method (the default where available) the parent
   builds everything once and the children inherit the pages copy-on-write —
@@ -152,7 +152,6 @@ class _SharedDictionary:
             "arrays": arrays,
             "sa_algorithm": dictionary.sa_algorithm,
             "accelerated": dictionary.accelerated,
-            "jump_start": dictionary.jump_mode,
         }
         return cls(segments, descriptor)
 
@@ -302,7 +301,6 @@ def _attach_shared_dictionary(descriptor: Dict) -> RlzDictionary:
         arrays["sa"],
         algorithm=f"shared:{descriptor['sa_algorithm']}",
         accelerated=descriptor["accelerated"],
-        jump_start=descriptor["jump_start"],
         position_keys=arrays.get("position_keys"),
         level0_keys=arrays.get("level0_keys"),
     )
@@ -311,7 +309,6 @@ def _attach_shared_dictionary(descriptor: Dict) -> RlzDictionary:
         suffix_array,
         sa_algorithm=descriptor["sa_algorithm"],
         accelerated=descriptor["accelerated"],
-        jump_start=descriptor["jump_start"],
     )
 
 
@@ -327,12 +324,9 @@ def _initialize_worker(payload) -> None:
         if kind == "shm":
             dictionary = _attach_shared_dictionary(body)
         else:  # "pickle": raw bytes shipped, suffix array rebuilt here
-            data, sa_algorithm, accelerated, jump_start = body
+            data, sa_algorithm, accelerated = body
             dictionary = RlzDictionary(
-                data,
-                sa_algorithm=sa_algorithm,
-                accelerated=accelerated,
-                jump_start=jump_start,
+                data, sa_algorithm=sa_algorithm, accelerated=accelerated
             )
     _WORKER_STATE = (RlzFactorizer(dictionary), PairEncoder(scheme))
 
@@ -524,7 +518,6 @@ class ParallelCompressor:
                 self._dictionary.data,
                 self._dictionary.sa_algorithm,
                 self._dictionary.accelerated,
-                self._dictionary.jump_mode,
             ),
             self._scheme_name,
         )

@@ -78,7 +78,6 @@ def _compressor_for(
         workers=config.parallel.workers,
         start_method=config.parallel.start_method,
         share_memory=config.parallel.share_memory,
-        jump_start=spec.jump_start,
     )
 
 

@@ -40,7 +40,7 @@ def test_dictionary_auto_sizing():
         {"policy": "mystery"},
         {"prefix_fraction": 0.0},
         {"prefix_fraction": 1.5},
-        {"jump_start": "turbo"},
+        {"sample_size": -3},
     ],
 )
 def test_dictionary_spec_validation(kwargs):
@@ -122,7 +122,7 @@ def test_config_sections_are_type_checked():
 
 def test_to_dict_from_dict_roundtrip():
     config = ArchiveConfig(
-        dictionary=DictionarySpec(size=64 * 1024, sample_size=512, jump_start="compact"),
+        dictionary=DictionarySpec(size=64 * 1024, sample_size=512),
         encoding=EncodingSpec(scheme="UV"),
         parallel=ParallelSpec(workers=2, start_method="spawn", share_memory=True),
         cache=CacheSpec(tier="lru", capacity=16),

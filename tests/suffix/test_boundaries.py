@@ -7,7 +7,7 @@ every window containing a real ``\\x00`` byte is a chance for the padding
 to impersonate data.  The jump lookups are guarded against both — these
 tests pin the guards down with the adversarial shapes from the PR-2 audit:
 trailing zero bytes in the query, in the dictionary, and in both, around
-the 4-byte and 8-byte window edges, under every jump-index mode.
+the 4-byte and 8-byte window edges, under both jump-index kinds.
 """
 
 import random
@@ -15,8 +15,6 @@ import random
 import pytest
 
 from repro.suffix import SuffixArray
-
-MODES = ("auto", "dict", "compact", "off")
 
 
 def reference_streams(suffix_array, query):
@@ -35,18 +33,21 @@ def reference_streams(suffix_array, query):
     return positions, lengths
 
 
+def accelerated_variants(text):
+    """The match engine over each jump-index kind: the small-text dict
+    index by default, the compact index via the size threshold."""
+    compact = SuffixArray(text)
+    compact._SMALL_TEXT_MAX = 0
+    return {"dict": SuffixArray(text), "compact": compact}
+
+
 def assert_boundary_identical(text, query):
-    """Every accelerated configuration equals the faithful per-char parse."""
+    """Both jump-index kinds equal the faithful per-char parse."""
     faithful = SuffixArray(text, accelerated=False)
     expected = reference_streams(faithful, query)
-    for mode in MODES:
-        fast = SuffixArray(text, jump_start=mode)
-        assert fast.factorize_stream(query) == expected, mode
-        assert reference_streams(fast, query) == expected, mode
-    # The forced large-text configuration (numpy machinery + compact index).
-    large = SuffixArray(text)
-    large._SMALL_TEXT_MAX = 0
-    assert large.factorize_stream(query) == expected
+    for kind, fast in accelerated_variants(text).items():
+        assert fast.factorize_stream(query) == expected, kind
+        assert reference_streams(fast, query) == expected, kind
     # Round-trip sanity.
     out = bytearray()
     for position, length in zip(*expected):
@@ -111,12 +112,11 @@ def test_limit_narrower_than_available_query(limit):
     text = b"abcdefghijklmnop\x00\x00qrst"
     query = b"abcdefghijklmnop\x00\x00qrst"
     faithful = SuffixArray(text, accelerated=False)
-    for mode in MODES:
-        fast = SuffixArray(text, jump_start=mode)
+    for kind, fast in accelerated_variants(text).items():
         for start in range(len(query)):
             expected = faithful.longest_match(query, start, limit)
             got = fast.longest_match(query, start, limit)
-            assert got[1] == expected[1], (mode, start, limit)
+            assert got[1] == expected[1], (kind, start, limit)
             if got[1]:
                 assert text[got[0] : got[0] + got[1]] == query[start : start + got[1]]
             assert got[1] <= limit

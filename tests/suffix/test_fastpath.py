@@ -1,8 +1,7 @@
 """Adversarial equivalence tests for the accelerated fast path.
 
-The jump-start index, the eager key levels and the inlined
-``factorize_stream`` loop must all produce exactly the parse of the paper's
-per-character algorithm.  These tests hammer the cases where the fast path
+The jump-start index and the match engine behind ``factorize_stream`` must
+produce exactly the parse of the paper's per-character algorithm.  These tests hammer the cases where the fast path
 could plausibly diverge: zero bytes in queries (which collide with the key
 padding), dictionaries shorter than the 8-byte key width, matches that end
 exactly at the dictionary boundary, and the jump-start hit/miss paths.
@@ -33,13 +32,15 @@ def reference_streams(suffix_array, query):
 
 
 def assert_all_modes_agree(text, query):
-    """Fast stream, accelerated longest_match and faithful mode all agree."""
+    """Fast stream, accelerated longest_match and faithful mode all agree,
+    over both the dict and the compact jump index."""
     fast = SuffixArray(text)
-    no_jump = SuffixArray(text, jump_start=False)
+    compact = SuffixArray(text)
+    compact._SMALL_TEXT_MAX = 0
     faithful = SuffixArray(text, accelerated=False)
     expected = reference_streams(faithful, query)
     assert fast.factorize_stream(query) == expected
-    assert no_jump.factorize_stream(query) == expected
+    assert compact.factorize_stream(query) == expected
     assert reference_streams(fast, query) == expected
     # Round-trip: the parse reproduces the query exactly.
     out = bytearray()
@@ -92,20 +93,13 @@ def test_jump_start_index_matches_searchsorted_intervals():
     suffix_array = SuffixArray(text)
     suffix_array._ensure_keys()
     assert suffix_array._jump_index is not None
-    level0 = suffix_array._get_level_keys(0)
+    level0 = suffix_array._level0_keys
     for key, (lb, rb) in suffix_array._jump_index.items():
         import numpy as np
 
         qk = np.uint64(key)
         assert int(level0.searchsorted(qk, side="left")) == lb
         assert int(level0.searchsorted(qk, side="right")) - 1 == rb
-
-
-def test_eager_levels_are_prebuilt():
-    suffix_array = SuffixArray(b"mississippi river runs " * 4)
-    suffix_array._ensure_keys()
-    for level in range(SuffixArray._MAX_LEVELS):
-        assert level in suffix_array._level_keys
 
 
 def test_randomized_adversarial_equivalence():
@@ -119,10 +113,9 @@ def test_randomized_adversarial_equivalence():
 
 
 def test_large_text_configuration_uses_compact_jump_index():
-    """Texts beyond _SMALL_TEXT_MAX drop the Python-list machinery but keep a
-    (compact) jump index and parse identically — the 1 MiB gate no longer
-    silently disables jump-start for the multi-MB dictionaries the paper
-    targets."""
+    """Texts beyond _SMALL_TEXT_MAX get the compact jump index and parse
+    identically — multi-MB dictionaries, the regime the paper targets, keep
+    the jump start."""
     rng = random.Random(77)
     text = bytes(rng.choices(b"abcdef <html>", k=400))
     gated = SuffixArray(text)
@@ -131,8 +124,6 @@ def test_large_text_configuration_uses_compact_jump_index():
     assert gated.jump_index_kind == "compact"
     assert gated._jump_index is not None
     assert gated._jump4_index is not None
-    assert gated._level_key_lists is None
-    assert gated._sa_list is None
     reference = SuffixArray(text, accelerated=False)
     for _ in range(20):
         query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 80)))

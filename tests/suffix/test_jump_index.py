@@ -83,8 +83,9 @@ def test_agrees_with_dict_index_on_real_text():
     the identical mapping (the factorization loops treat them as drop-in
     replacements)."""
     text = b"abracadabra banana abracadabra \x00\x00 the end" * 8
-    dict_version = SuffixArray(text, jump_start="dict")
-    compact_version = SuffixArray(text, jump_start="compact")
+    dict_version = SuffixArray(text)
+    compact_version = SuffixArray(text)
+    compact_version._SMALL_TEXT_MAX = 0
     dict_version._ensure_keys()
     compact_version._ensure_keys()
     assert dict_version.jump_index_kind == "dict"

@@ -62,7 +62,7 @@ def test_from_precomputed_reuses_injected_arrays(built):
     )
     clone._ensure_keys()
     assert clone._position_keys is state["position_keys"]
-    assert clone._level_keys[0] is state["level0_keys"]
+    assert clone._level0_keys is state["level0_keys"]
 
 
 def test_from_precomputed_accepts_read_only_views(built):
@@ -91,11 +91,3 @@ def test_from_precomputed_validates_lengths(built):
         )
     with pytest.raises(TypeError):
         SuffixArray.from_precomputed("not bytes", state["sa"])
-
-
-def test_jump_mode_validation():
-    with pytest.raises(ValueError):
-        SuffixArray(b"abc", jump_start="warp")
-    assert SuffixArray(b"abc", jump_start=True).jump_mode == "auto"
-    assert SuffixArray(b"abc", jump_start=False).jump_mode == "off"
-    assert SuffixArray(b"abc", jump_start="COMPACT").jump_mode == "compact"

@@ -24,7 +24,7 @@ def test_sais_agrees_with_doubling(text):
 
 
 @given(small_texts, st.binary(min_size=0, max_size=120))
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 def test_longest_match_is_valid_and_maximal(dictionary, query):
     """longest_match must return a true occurrence, and a maximal one."""
     sa = SuffixArray(dictionary, accelerated=True)
@@ -37,7 +37,7 @@ def test_longest_match_is_valid_and_maximal(dictionary, query):
 
 
 @given(small_texts, st.binary(min_size=0, max_size=120))
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 def test_accelerated_and_faithful_find_same_length(dictionary, query):
     fast = SuffixArray(dictionary, accelerated=True)
     slow = SuffixArray(dictionary, accelerated=False)

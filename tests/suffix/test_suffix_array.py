@@ -144,6 +144,19 @@ def test_longest_match_handles_nul_bytes():
     assert length == 6  # matches "c\x00\x00def"
 
 
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_longest_match_rejects_start_outside_query(accelerated):
+    # A negative start must not wrap around the query: read that way,
+    # longest_match(b"habc", -1) over "zzchabzz" finds (2, 4), "chab",
+    # which occurs at no position of the query.
+    sa = SuffixArray(b"zzchabzz", accelerated=accelerated)
+    for start in (-1, -4, 5):
+        with pytest.raises(ValueError):
+            sa.longest_match(b"habc", start)
+    assert sa.longest_match(b"habc", 4) == (0, 0)
+    assert sa.longest_match(b"habc", 0)[1] == 3  # "hab"
+
+
 # ----------------------------------------------------------------------
 # count / find_all
 # ----------------------------------------------------------------------

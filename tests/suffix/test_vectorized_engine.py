@@ -1,27 +1,29 @@
-"""Byte-identity battery for the vectorized single-bisect match engine.
+"""Byte-identity battery for the match engine.
 
 The engine (``SuffixArray.match_stream`` / ``_match_factor``) resolves each
 factor with one lcp-aware binary search over its jump-start interval and
-batches cold jump probes; the scalar accelerated loop refines key level by
-key level.  Both are exact, so every entry point must produce the identical
-parse under every configuration.  These tests force ``vectorize`` on and
-off explicitly (small texts route to the scalar loop by default) and sweep
-the adversarial shapes from the PR-2 audit: empty documents, all-literal
-streams, trailing-zero boundary keys, and every jump-index mode.
+batches cold jump probes.  It must produce exactly the parse of the paper's
+per-character algorithm (``accelerated=False``, the oracle) through every
+entry point — ``factorize_stream``, ``match_stream`` and ``longest_match``
+— over both jump-index kinds.  The hand-picked cases below are the
+adversarial shapes: empty documents, all-literal streams, trailing-zero
+boundary keys and zero-byte windows; the generated property covers the
+rest.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import RlzDictionary, RlzFactorizer
 from repro.suffix import SuffixArray
 
-MODES = ("auto", "dict", "compact", "off")
+JUMP_KINDS = ("dict", "compact")
 
 
 def reference_streams(suffix_array, query):
-    """The faithful per-factor parse via ``longest_match``."""
+    """The per-factor parse via ``longest_match``."""
     positions, lengths = [], []
     cursor = 0
     while cursor < len(query):
@@ -37,33 +39,71 @@ def reference_streams(suffix_array, query):
     return positions, lengths
 
 
-def engine_streams(suffix_array, query):
-    """The parse with the vectorized engine forced on."""
-    suffix_array.vectorize = True
-    try:
-        return suffix_array.factorize_stream(query)
-    finally:
-        suffix_array.vectorize = None
+def engine(text, kind="dict"):
+    """An accelerated suffix array whose jump index is of ``kind``.
 
-
-def scalar_streams(suffix_array, query):
-    """The parse with the engine forced off (scalar accelerated loop)."""
-    suffix_array.vectorize = False
-    try:
-        return suffix_array.factorize_stream(query)
-    finally:
-        suffix_array.vectorize = None
+    Small texts get the dict index; lowering the size threshold on the
+    instance forces the compact one.
+    """
+    suffix_array = SuffixArray(text)
+    if kind == "compact":
+        suffix_array._SMALL_TEXT_MAX = 0
+    return suffix_array
 
 
 def assert_engine_identical(text, query):
-    """Engine output equals the scalar parse and the faithful reference,
-    under every jump-index mode."""
-    faithful = SuffixArray(text, accelerated=False)
-    expected = reference_streams(faithful, query)
-    for mode in MODES:
-        suffix_array = SuffixArray(text, jump_start=mode)
-        assert scalar_streams(suffix_array, query) == expected, mode
-        assert engine_streams(suffix_array, query) == expected, mode
+    """Every engine entry point equals the faithful parse, for both kinds."""
+    expected = reference_streams(SuffixArray(text, accelerated=False), query)
+    for kind in JUMP_KINDS:
+        suffix_array = engine(text, kind)
+        assert suffix_array.factorize_stream(query) == expected, kind
+        assert list(suffix_array.match_stream(query)) == list(zip(*expected)), kind
+        assert reference_streams(suffix_array, query) == expected, kind
+
+
+# ----------------------------------------------------------------------
+# Generated parse identity
+# ----------------------------------------------------------------------
+_ALPHABETS = (b"ab", b"ab\x00", b"abcdefgh <>\x00", bytes(range(256)))
+
+
+@st.composite
+def dictionaries(draw):
+    """Texts with embedded NULs, single-byte runs and trailing zeros."""
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    text = bytes(draw(st.lists(st.sampled_from(alphabet), max_size=200)))
+    run = draw(st.integers(0, 40))
+    if run:
+        text += bytes([draw(st.sampled_from(alphabet))]) * run
+    return text + b"\x00" * draw(st.integers(0, 9))
+
+
+@st.composite
+def documents(draw, text):
+    """Dictionary slices interleaved with random bytes."""
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        if text and draw(st.booleans()):
+            start = draw(st.integers(0, len(text) - 1))
+            parts.append(text[start : start + draw(st.integers(1, 48))])
+        else:
+            parts.append(draw(st.binary(max_size=12)))
+    return b"".join(parts)
+
+
+texts = st.one_of(st.just(b""), st.binary(min_size=1, max_size=1), dictionaries())
+
+
+@pytest.mark.parametrize("kind", JUMP_KINDS)
+@given(text=texts, data=st.data())
+@settings(deadline=None)
+def test_generated_parse_identity(kind, text, data):
+    document = data.draw(documents(text))
+    expected = reference_streams(SuffixArray(text, accelerated=False), document)
+    suffix_array = engine(text, kind)
+    assert suffix_array.factorize_stream(document) == expected
+    assert list(suffix_array.match_stream(document)) == list(zip(*expected))
+    assert reference_streams(suffix_array, document) == expected
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +111,6 @@ def assert_engine_identical(text, query):
 # ----------------------------------------------------------------------
 def test_empty_document():
     suffix_array = SuffixArray(b"abracadabra")
-    suffix_array.vectorize = True
     assert suffix_array.factorize_stream(b"") == ([], [])
     assert list(suffix_array.match_stream(b"")) == []
 
@@ -81,8 +120,7 @@ def test_all_literal_stream():
     text = b"abcdefgh" * 8
     query = b"XYZ" * 20 + b"\x01\x02"
     assert_engine_identical(text, query)
-    suffix_array = SuffixArray(text)
-    positions, lengths = engine_streams(suffix_array, query)
+    positions, lengths = SuffixArray(text).factorize_stream(query)
     assert lengths == [0] * len(query)
     assert positions == list(query)
 
@@ -111,15 +149,15 @@ def test_trailing_zeros_in_query(zeros):
 
 
 def test_zero_windows_route_to_fallback_identically():
-    """Windows containing a real zero byte take the scalar fallback inside
-    the engine; the parse must not change."""
+    """Windows containing a real zero byte take the per-character fallback
+    inside the engine; the parse must not change."""
     text = b"ab\x00cd\x00\x00ef" * 6
     for query in (b"ab\x00cd", b"\x00\x00ef", b"ab\x00cd\x00\x00efab", text):
         assert_engine_identical(text, query)
 
 
 # ----------------------------------------------------------------------
-# Jump-mode sweep with adversarial random streams
+# Both jump-index kinds with adversarial random streams
 # ----------------------------------------------------------------------
 def test_randomized_equivalence_across_modes():
     rng = random.Random(20260808)
@@ -131,31 +169,28 @@ def test_randomized_equivalence_across_modes():
 
 
 def test_forced_large_text_configuration():
-    """The numpy + compact-index configuration auto-enables the engine."""
+    """The compact-index configuration parses identically."""
     rng = random.Random(7)
     text = bytes(rng.choices(b"abcdef <html>", k=600))
-    suffix_array = SuffixArray(text)
-    suffix_array._SMALL_TEXT_MAX = 0
+    suffix_array = engine(text, "compact")
     reference = SuffixArray(text, accelerated=False)
-    assert suffix_array._vectorize_enabled()
     for _ in range(10):
         query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 90)))
         assert suffix_array.factorize_stream(query) == reference_streams(
             reference, query
         )
+    assert suffix_array.jump_index_kind == "compact"
 
 
 def test_longest_match_parity_at_every_cursor():
     rng = random.Random(99)
     text = bytes(rng.choices(b"abcdefgh", k=250))
     query = bytes(rng.choices(b"abcdefghXY", k=120))
+    faithful = SuffixArray(text, accelerated=False)
     suffix_array = SuffixArray(text)
     for cursor in range(len(query)):
-        suffix_array.vectorize = False
-        expected = suffix_array.longest_match(query, cursor)
-        suffix_array.vectorize = True
+        expected = faithful.longest_match(query, cursor)
         assert suffix_array.longest_match(query, cursor) == expected, cursor
-    suffix_array.vectorize = None
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +201,8 @@ def test_match_stream_equals_factorize_stream():
     text = bytes(rng.choices(b"lorem ipsum dolor", k=400))
     query = bytes(rng.choices(b"lorem ipsum dolor sitXZ", k=200))
     suffix_array = SuffixArray(text)
-    suffix_array.vectorize = True
     positions, lengths = suffix_array.factorize_stream(query)
     assert list(suffix_array.match_stream(query)) == list(zip(positions, lengths))
-    suffix_array.vectorize = None
 
 
 def test_iter_factors_matches_factorize_streams():
@@ -189,30 +222,13 @@ def test_batch_probing_engages_and_stays_identical():
     """A long literal-heavy stream drives the stride EWMA under the cutoff,
     so cold probes go through ``get_batch`` — and the parse is unchanged."""
     text = b"abcdefgh" * 40
-    suffix_array = SuffixArray(text, jump_start="compact")
+    suffix_array = engine(text, "compact")
     query = bytes(random.Random(5).choices(b"XYZW", k=400)) + b"abcdefgh"
-    expected = scalar_streams(suffix_array, query)
+    expected = reference_streams(SuffixArray(text, accelerated=False), query)
     before = suffix_array.probe_cache_info()
-    assert engine_streams(suffix_array, query) == expected
+    assert suffix_array.factorize_stream(query) == expected
     after = suffix_array.probe_cache_info()
     batched = (after["batch_hits"] + after["batch_misses"]) - (
         before["batch_hits"] + before["batch_misses"]
     )
     assert batched > 0
-
-
-# ----------------------------------------------------------------------
-# Routing: explicit attribute and environment override
-# ----------------------------------------------------------------------
-def test_env_var_overrides_auto_routing(monkeypatch):
-    text = b"small text, dict-index regime " * 4
-    suffix_array = SuffixArray(text)
-    assert not suffix_array._vectorize_enabled()  # small text: scalar default
-    monkeypatch.setenv("REPRO_VECTORIZE", "1")
-    assert suffix_array._vectorize_enabled()
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert not suffix_array._vectorize_enabled()
-    # The explicit attribute wins over the environment.
-    suffix_array.vectorize = True
-    assert suffix_array._vectorize_enabled()
-    suffix_array.vectorize = None

@@ -88,7 +88,7 @@ def test_compress_with_workers(tmp_path, capsys):
     assert "all documents round-tripped" in capsys.readouterr().out
 
 
-def test_compress_with_spawn_shared_memory_and_jump_index(tmp_path, capsys):
+def test_compress_with_spawn_shared_memory(tmp_path, capsys):
     warc = tmp_path / "s.warc"
     corpus_main([str(warc), "--documents", "6", "--seed", "2"])
     container = tmp_path / "s.repro"
@@ -103,8 +103,6 @@ def test_compress_with_spawn_shared_memory_and_jump_index(tmp_path, capsys):
             "--start-method",
             "spawn",
             "--share-memory",
-            "--jump-index",
-            "compact",
             "--verify",
         ]
     )
