@@ -9,9 +9,7 @@ synthetic collection and prints a single comparison table.
 
 This example deliberately stays on the **legacy pipeline** (``RlzStore``
 assembled by hand from factorizations, per-call kwargs instead of
-``ArchiveConfig``) because it exercises the pieces individually — and it
-demonstrates the deprecation shim: ``decode_cache_size=`` still works but
-warns, pointing at the :mod:`repro.api` facade.  See
+``ArchiveConfig``) because it exercises the pieces individually.  See
 ``examples/quickstart.py`` for the facade version of this workflow.
 
 Run with ``python examples/storage_tradeoffs.py``.
@@ -20,7 +18,6 @@ Run with ``python examples/storage_tradeoffs.py``.
 from __future__ import annotations
 
 import tempfile
-import warnings
 from pathlib import Path
 
 from repro import DictionaryConfig, generate_gov_collection
@@ -94,25 +91,6 @@ def main() -> None:
                 100.0,
                 measure_retrieval(store, patterns.sequential).docs_per_second,
                 measure_retrieval(store, patterns.query_log).docs_per_second,
-            )
-
-        # The deprecated serving knob still works through its shim: opening
-        # with decode_cache_size= warns (use ArchiveConfig/CacheSpec or
-        # cache=LruCache(n) instead) but serves correctly.
-        rlz_path = tmp_path / f"rlz-{sorted(PAPER_SCHEMES)[0]}.repro"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_store = RlzStore.open(rlz_path, decode_cache_size=16)
-        assert any(
-            issubclass(entry.category, DeprecationWarning) for entry in caught
-        ), "expected the decode_cache_size deprecation shim to warn"
-        with legacy_store:
-            doc_id = collection.doc_ids()[0]
-            assert legacy_store.get(doc_id) == legacy_store.get(doc_id)
-            print(
-                "\nlegacy shim: decode_cache_size= warned "
-                f"({caught[0].message}) and served doc {doc_id} with "
-                f"{legacy_store.cache_info['hits']} cache hit(s)"
             )
 
     table.print()

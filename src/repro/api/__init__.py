@@ -22,12 +22,10 @@ from .async_front import AsyncRlzArchive
 from .config import (
     ArchiveConfig,
     CacheSpec,
-    DeadlineSpec,
     DictionarySpec,
     EncodingSpec,
     ParallelSpec,
     PartitionSpec,
-    RetrySpec,
     SearchSpec,
     ServeSpec,
 )
@@ -40,13 +38,11 @@ __all__ = [
     "AsyncArchiveView",
     "AsyncRlzArchive",
     "CacheSpec",
-    "DeadlineSpec",
     "DictionarySpec",
     "EncodingSpec",
     "ParallelSpec",
     "PartitionSpec",
     "RequestStats",
-    "RetrySpec",
     "RlzArchive",
     "SearchSpec",
     "ServeSpec",

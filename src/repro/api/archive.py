@@ -7,7 +7,7 @@ the build-pipeline dance —
     compressor = RlzCompressor(dictionary_config=..., scheme=..., workers=...)
     compressed = compressor.compress(collection)
     RlzStore.write(compressed, path)
-    store = RlzStore.open(path, decode_cache_size=...)
+    store = RlzStore.open(path, cache=...)
 
 — there are two entry points:
 

@@ -9,9 +9,7 @@ dataclasses, one per concern:
 * :class:`EncodingSpec` — the pair-coding scheme;
 * :class:`ParallelSpec` — the encode worker pool;
 * :class:`CacheSpec` — the serving-time decode-cache tier;
-* :class:`ServeSpec` — the network front (``repro serve`` / RlzServer),
-  carrying a :class:`DeadlineSpec` (request deadlines + hedging) and a
-  :class:`RetrySpec` (retry counts, backoff, token-bucket retry budget);
+* :class:`ServeSpec` — the network front (``repro serve`` / RlzServer);
 * :class:`PartitionSpec` — how a ``repro partition`` build splits the
   collection into per-shard stores (shard count, ring geometry, shared
   vs per-shard dictionary, starting epoch);
@@ -37,12 +35,10 @@ from ..errors import ConfigurationError
 __all__ = [
     "ArchiveConfig",
     "CacheSpec",
-    "DeadlineSpec",
     "DictionarySpec",
     "EncodingSpec",
     "ParallelSpec",
     "PartitionSpec",
-    "RetrySpec",
     "SearchSpec",
     "ServeSpec",
 ]
@@ -178,75 +174,6 @@ class CacheSpec:
 
 
 @dataclass(frozen=True)
-class DeadlineSpec:
-    """Request-deadline and hedging configuration for the serving clients.
-
-    ``default_ms`` is the per-request deadline every client call carries
-    when the caller does not pass its own (0 = no deadline).  Request
-    frames propagate the remaining budget to the server, which
-    drops work whose deadline already expired instead of decoding it.
-    ``hedge_delay`` (seconds) arms hedged ``ClusterClient.get``: when a
-    primary shard has not answered within the delay, a backup request is
-    fired at the next replica and the first response wins (0 = off).
-    Set it near the fleet's p99 latency so hedges stay rare.
-    """
-
-    default_ms: int = 0
-    hedge_delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.default_ms < 0:
-            raise ConfigurationError(
-                f"deadline default_ms must be non-negative; got {self.default_ms}"
-            )
-        if self.hedge_delay < 0:
-            raise ConfigurationError(
-                f"hedge_delay must be non-negative; got {self.hedge_delay}"
-            )
-
-
-@dataclass(frozen=True)
-class RetrySpec:
-    """Client retry policy: attempt counts, backoff seeds, and the budget.
-
-    ``retries``/``retry_delay`` govern connection dials (full-jittered
-    exponential backoff); ``busy_retries`` bounds how often one request
-    backs off after ``R_BUSY`` before raising
-    :class:`~repro.errors.ServerBusyError`.  ``budget_capacity`` /
-    ``budget_refill_rate`` shape the shared token-bucket
-    :class:`~repro.serve.RetryBudget`: every retry of any kind spends a
-    token, so during a brownout total retry traffic is capped at the
-    refill rate instead of multiplying with the request rate.
-    """
-
-    retries: int = 3
-    retry_delay: float = 0.05
-    busy_retries: int = 4
-    budget_capacity: float = 64.0
-    budget_refill_rate: float = 16.0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(f"retries must be non-negative; got {self.retries}")
-        if self.retry_delay < 0:
-            raise ConfigurationError(
-                f"retry_delay must be non-negative; got {self.retry_delay}"
-            )
-        if self.busy_retries < 0:
-            raise ConfigurationError(
-                f"busy_retries must be non-negative; got {self.busy_retries}"
-            )
-        if self.budget_capacity <= 0:
-            raise ConfigurationError(
-                f"budget_capacity must be positive; got {self.budget_capacity}"
-            )
-        if self.budget_refill_rate < 0:
-            raise ConfigurationError(
-                f"budget_refill_rate must be non-negative; got {self.budget_refill_rate}"
-            )
-
-
-@dataclass(frozen=True)
 class ServeSpec:
     """Network-front configuration (``repro serve`` and
     :class:`repro.serve.RlzServer`).
@@ -274,9 +201,9 @@ class ServeSpec:
     * ``virtual_nodes`` — consistent-hash points per endpoint in the
       shard map (more points = smoother balance, bigger ring).
 
-    Fault-tolerance policy lives in the nested ``deadline``
-    (:class:`DeadlineSpec`) and ``retry`` (:class:`RetrySpec`) specs;
-    both accept plain dicts so JSON configs round-trip.
+    Client retry and deadline policy is set on the clients themselves
+    (:class:`~repro.serve.RlzClient` ``retries``/``busy_retries``/
+    ``deadline_ms``, :class:`~repro.serve.ClusterClient` ``hedge_delay``).
     """
 
     host: str = "127.0.0.1"
@@ -289,18 +216,8 @@ class ServeSpec:
     default_archive: Optional[str] = None
     endpoints: Optional[Tuple[str, ...]] = None
     virtual_nodes: int = 64
-    deadline: DeadlineSpec = field(default_factory=DeadlineSpec)
-    retry: RetrySpec = field(default_factory=RetrySpec)
 
     def __post_init__(self) -> None:
-        if isinstance(self.deadline, dict):
-            object.__setattr__(self, "deadline", DeadlineSpec(**self.deadline))
-        elif not isinstance(self.deadline, DeadlineSpec):
-            raise ConfigurationError("deadline must be a DeadlineSpec (or dict)")
-        if isinstance(self.retry, dict):
-            object.__setattr__(self, "retry", RetrySpec(**self.retry))
-        elif not isinstance(self.retry, RetrySpec):
-            raise ConfigurationError("retry must be a RetrySpec (or dict)")
         if not self.host or not isinstance(self.host, str):
             raise ConfigurationError("serve host must be a non-empty string")
         if not 0 <= self.port <= 65535:

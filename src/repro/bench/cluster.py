@@ -98,13 +98,13 @@ def cluster_benchmark(
         # -- one server: sequential vs pipelined, 1 conn -------------------
         with BackgroundServer(path, config) as server:
             host, port = server.address
-            with RlzClient(host, port, pool_size=1) as client:
+            with RlzClient(host, port) as client:
                 start = time.perf_counter()
                 served_sequential = [client.get(doc_id) for doc_id in access_log]
                 sequential_elapsed = time.perf_counter() - start
             verified["sequential_identical"] = served_sequential == expected
 
-            with RlzClient(host, port, pool_size=1) as client:
+            with RlzClient(host, port) as client:
                 start = time.perf_counter()
                 served_pipelined = client.pipelined_get(
                     access_log, window=pipeline_window

@@ -20,13 +20,16 @@ machine boundary:
   dedicated thread for synchronous callers);
 * :class:`RlzClient` / :class:`AsyncRlzClient` — clients implementing the
   same :class:`repro.api.ArchiveView` surface as a local
-  :class:`repro.api.RlzArchive`, with connection pooling, retry,
-  pipelined windows (:meth:`RlzClient.pipelined_get`), chunked bulk scans
-  and — async — full single-connection multiplexing;
-* :class:`ClusterClient` — one ``ArchiveView`` over N endpoints:
-  consistent-hash routing (:class:`ShardMap`), per-endpoint
-  :class:`CircuitBreaker`\\ s, ordered ``get_many`` fan-out/fan-in and
-  failover that keeps results byte-identical when a shard dies;
+  :class:`repro.api.RlzArchive`: a small fixed pool of idle connections,
+  pipelined windows (:meth:`RlzClient.pipelined_get`) and chunked bulk
+  scans, or — async — one multiplexed connection; both drive one sans-IO
+  core (request specs, reply classifier, retry state);
+* :class:`ClusterClient` / :class:`AsyncClusterClient` — one
+  ``ArchiveView`` over N endpoints: consistent-hash routing
+  (:class:`ShardMap`), per-endpoint :class:`CircuitBreaker`\\ s, ordered
+  ``get_many`` fan-out/fan-in and failover that keeps results
+  byte-identical when a shard dies, all decided once in
+  :class:`~repro.serve.cluster.ClusterPolicy`;
 * :mod:`repro.serve.retry` — the fault-tolerance primitives: request
   frames propagate per-request **deadlines** (:class:`Deadline`) on the wire so
   servers drop expired work, every client retry draws from a shared
@@ -58,9 +61,8 @@ serve`` (``name=path`` archives) and ``repro get --connect`` (comma-
 separated endpoints fan out through a :class:`ClusterClient`).
 """
 
-from .async_cluster import AsyncClusterClient
 from .client import AsyncRlzClient, RlzClient
-from .cluster import CircuitBreaker, ClusterClient, ShardMap
+from .cluster import AsyncClusterClient, CircuitBreaker, ClusterClient, ShardMap
 from .partition import build_partitioned_archives, write_spare_shard
 from .protocol import (
     ERROR_CODES,

@@ -8,56 +8,47 @@ get`` — runs unchanged whether it holds a local archive or a socket to an
 protocol's structured error frames: a remote miss raises the very same
 :class:`~repro.errors.StorageError` a local miss does.
 
-Both clients handshake with the one protocol version at dial time (a
-peer announcing any other version is a
-:class:`~repro.errors.ProtocolError`).  Every request carries a request
-id, which buys:
+The module is one **sans-IO core** under two thin drivers.  The core
+takes bytes and returns bytes, sleep durations or typed errors, and
+holds every decision both clients make: the :class:`Request` spec of
+each call, the one reply classifier (:func:`check_reply`) and the busy
+and connection-retry decisions of one call (:class:`RetryState`), which
+also carries the call's :class:`~repro.serve.retry.Deadline` onto every
+request frame so the server drops work nobody waits for any more.
 
-* **pipelining** — :meth:`RlzClient.pipelined_get` keeps a window of
-  requests in flight on *one* connection and correlates the replies as
-  they arrive (out of order included), collapsing the per-request
-  round-trip latency that makes a sequential request/response loop slow
-  on a socket;
-* **bulk scans** — :meth:`RlzClient.scan` streams ``R_CHUNK`` batches
-  (many documents per frame, batched container decodes server-side)
-  instead of one ``get`` per document; ``iter_documents`` rides it;
-* **multiplexing** — :class:`AsyncRlzClient` shares one connection among
-  every concurrent coroutine: a background reader resolves each tagged
-  reply to the future that asked for it;
-* **backpressure hints** — an ``R_BUSY`` reply (the server's
-  ``max_inflight`` gate is saturated) is retried with backoff instead of
-  queueing server-side, and surfaces to the cluster layer so it can
-  re-route to a replica.
-
-Every request frame also carries the call's remaining **deadline** (the
-server drops work whose deadline expired while queueing and answers
-``R_TIMEOUT``, which surfaces here as
-:class:`~repro.errors.DeadlineExceededError`), ``R_BUSY`` payloads carry
-the server's queue depth and a **retry-after hint** that replaces blind
-exponential backoff, and ``health()`` exposes the per-archive load
-snapshot.  All retries — dials, dead connections, busy backoff — draw
-from a shared token-bucket :class:`~repro.serve.retry.RetryBudget`, so a
-browned-out server sees retry traffic capped at the budget's refill rate
-instead of multiplied by it.
-
-:class:`RlzClient` keeps a small **connection pool**: requests check a
-connection out, use it for one framed exchange (or one stream) and return
-it; concurrent requests above the pool's high-water mark dial extra
-connections that are closed instead of pooled on return.  Dialing (and
-re-dialing after a server restart) retries with a delay; because every
-read opcode is idempotent, a connection that dies mid-request is retried
-on a fresh connection up to ``retries`` times.  Protocol violations are
-never retried — the server told us something is structurally wrong.
+:class:`RlzClient` keeps a small **connection pool** (requests check a
+connection out for one exchange or one stream; a surplus above the idle
+pool is closed on return), **pipelining** (:meth:`RlzClient.pipelined_get`
+keeps a window of requests in flight on one connection and correlates
+out-of-order replies) and **bulk scans** (:meth:`RlzClient.scan` streams
+``R_CHUNK`` batches).  :class:`AsyncRlzClient` multiplexes every
+concurrent coroutine over **one** connection: a background reader
+resolves each tagged reply to the future that asked for it.  The drivers
+differ only in how they dial, send, receive and sleep.  Every read
+opcode is idempotent, so a connection that dies mid-request is retried
+on a fresh one; protocol violations are never retried.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import socket
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import (
     DeadlineExceededError,
@@ -72,9 +63,356 @@ from .retry import Deadline, RetryBudget, full_jitter, hinted_backoff
 
 __all__ = ["AsyncRlzClient", "RlzClient"]
 
+#: Failures of the transport, not answers from the server: the request
+#: may be retried on a fresh connection (or, in a cluster, a replica).
+CONNECTION_ERRORS = (OSError, asyncio.TimeoutError)
+
+#: Idle connections :class:`RlzClient` keeps for reuse; more may be open
+#: at once, and the surplus is closed on return.
+_POOL_SIZE = 2
+
 _UNSET = object()
 
 
+# ----------------------------------------------------------------------
+# Sans-IO core: request specs
+# ----------------------------------------------------------------------
+class Request(NamedTuple):
+    """One call on the wire: what to send, which reply answers it, and
+    how to turn that reply's payload into the call's result."""
+
+    opcode: int
+    payload: bytes
+    expect: int
+    parse: Callable[[bytes], Any]
+
+
+def get_request(doc_id: int) -> Request:
+    return Request(Opcode.GET, protocol.pack_doc_id(doc_id), Opcode.R_DOC, bytes)
+
+
+def get_many_request(doc_ids: Sequence[int]) -> Request:
+    doc_ids = list(doc_ids)
+
+    def parse(body: bytes) -> List[bytes]:
+        documents = protocol.unpack_documents(body)
+        if len(documents) != len(doc_ids):
+            raise ProtocolError(
+                f"get_many asked for {len(doc_ids)} documents, got {len(documents)}"
+            )
+        return documents
+
+    payload = protocol.pack_doc_ids(doc_ids)
+    return Request(Opcode.GET_MANY, payload, Opcode.R_DOCS, parse)
+
+
+def search_request(
+    query: str,
+    top_k: int,
+    snippet_chars: int,
+    global_stats: Optional[Tuple[int, int, Dict[str, int]]],
+) -> Request:
+    payload = protocol.pack_search(
+        query, top_k=top_k, snippet_chars=snippet_chars, global_stats=global_stats
+    )
+    parse = protocol.unpack_search_results
+    return Request(Opcode.SEARCH, payload, Opcode.R_SEARCH, parse)
+
+
+def search_stats_request(query: str) -> Request:
+    payload = protocol.pack_search(query, stats_only=True)
+    parse = protocol.unpack_search_stats
+    return Request(Opcode.SEARCH, payload, Opcode.R_SEARCH, parse)
+
+
+def ingest_request(items: Sequence[Tuple[int, bytes]]) -> Request:
+    payload = protocol.pack_chunk(list(items))
+    return Request(Opcode.INGEST, payload, Opcode.R_DOC_IDS, protocol.unpack_doc_ids)
+
+
+def install_map_request(
+    epoch: int, labels: Sequence[str], virtual_nodes: int
+) -> Request:
+    payload = protocol.pack_shard_map(epoch, list(labels), virtual_nodes)
+    parse = protocol.unpack_shard_map
+    return Request(Opcode.INSTALL_MAP, payload, Opcode.R_SHARD_MAP, parse)
+
+
+DOC_IDS = Request(Opcode.DOC_IDS, b"", Opcode.R_DOC_IDS, protocol.unpack_doc_ids)
+STATS = Request(Opcode.STATS, b"", Opcode.R_STATS, protocol.unpack_stats)
+HEALTH = Request(Opcode.HEALTH, b"", Opcode.R_HEALTH, protocol.unpack_health)
+PING = Request(Opcode.PING, b"", Opcode.R_PONG, bytes)
+SHARD_MAP = Request(
+    Opcode.SHARD_MAP, b"", Opcode.R_SHARD_MAP, protocol.unpack_shard_map
+)
+
+
+def hello_frame(archive: str) -> bytes:
+    """The HELLO request: request id 0, no deadline."""
+    payload = protocol.pack_hello(archive=archive)
+    return protocol.encode_request(Opcode.HELLO, 0, 0, payload)
+
+
+def check_hello_reply(opcode: int, payload: bytes) -> None:
+    """Accept an ``R_HELLO`` carrying :data:`~repro.serve.protocol.PROTOCOL_VERSION`;
+    re-raise a handshake ``R_ERROR``; reject anything else."""
+    if opcode == Opcode.R_ERROR:
+        protocol.raise_error_frame(payload)
+    if opcode != Opcode.R_HELLO:
+        raise ProtocolError(
+            f"handshake expected R_HELLO, got {protocol.describe_opcode(opcode)}"
+        )
+    version = protocol.unpack_hello_reply(payload)
+    if version != protocol.PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"protocol version mismatch: server speaks {version}, "
+            f"client speaks {protocol.PROTOCOL_VERSION}"
+        )
+
+
+# ----------------------------------------------------------------------
+# Sans-IO core: the reply classifier
+# ----------------------------------------------------------------------
+class BusyReply(ServerBusyError):
+    """An ``R_BUSY`` reply; ``retry_after`` is the server's hint in
+    seconds (0 = none).  Drivers hand it to :meth:`RetryState.on_busy`;
+    it escapes only where no retry applies (mid-stream)."""
+
+    def __init__(self, retry_after: float) -> None:
+        super().__init__("server busy")
+        self.retry_after = retry_after
+
+
+def check_reply(
+    reply: int, reply_id: int, body: bytes, sent: Container[int], expect: int
+) -> bytes:
+    """Classify one reply frame: its payload, or the typed error it stands for.
+
+    ``sent`` holds the request ids the reply may answer (one for an
+    exchange, the in-flight window for a pipeline).
+    """
+    if reply_id == 0 and reply == Opcode.R_ERROR:
+        # Request id 0 is reserved: the server could not attribute the
+        # error to any single request.
+        protocol.raise_error_frame(body)
+    if reply_id not in sent:
+        raise ProtocolError(
+            f"response correlation broke: got a reply for request {reply_id}, "
+            f"which is not in flight"
+        )
+    if reply == expect:
+        return body
+    if reply == Opcode.R_TIMEOUT:
+        raise DeadlineExceededError(
+            body.decode("utf-8", "replace") or "request deadline exceeded"
+        )
+    if reply == Opcode.R_BUSY:
+        retry_after_ms, _depth = protocol.unpack_busy(body)
+        raise BusyReply(retry_after_ms / 1000.0)
+    if reply == Opcode.R_WRONG_SHARD:
+        epoch, doc_id = protocol.unpack_wrong_shard(body)
+        raise WrongShardError(
+            f"document {doc_id} is not owned by this shard (map epoch {epoch})",
+            epoch=epoch,
+        )
+    if reply == Opcode.R_ERROR:
+        protocol.raise_error_frame(body)
+    raise ProtocolError(
+        f"expected {protocol.describe_opcode(expect)}, "
+        f"got {protocol.describe_opcode(reply)}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Sans-IO core: the retry state
+# ----------------------------------------------------------------------
+class RetryState:
+    """The retry decisions of one logical call.
+
+    A driver reports an ``R_BUSY`` reply or a connection failure and gets
+    back the sleep before trying again, or the error to raise instead.
+    Busy and connection retries are counted separately, each with its own
+    exponential backoff; every retry spends a token of the shared
+    :class:`RetryBudget`, and no backoff may outlive the call's deadline.
+    """
+
+    __slots__ = (
+        "deadline", "_retries", "_busy_retries", "_delay", "_budget",
+        "_attempts", "_busy",
+    )
+
+    def __init__(
+        self,
+        retries: int,
+        busy_retries: int,
+        delay: float,
+        budget: RetryBudget,
+        deadline: Optional[Deadline],
+    ) -> None:
+        self.deadline = deadline
+        self._retries = retries
+        self._busy_retries = busy_retries
+        self._delay = delay
+        self._budget = budget
+        self._attempts = 0
+        self._busy = 0
+
+    def renew(self) -> "RetryState":
+        """A fresh state for another request of the same call: the same
+        deadline and budget, the counters and backoff reset."""
+        return RetryState(
+            self._retries, self._busy_retries, self._delay, self._budget, self.deadline
+        )
+
+    def wire_ms(self) -> int:
+        """The budget the next request frame carries (0 = no deadline);
+        raises :class:`DeadlineExceededError` once the deadline is spent."""
+        if self.deadline is None:
+            return 0
+        self.deadline.check()
+        return self.deadline.wire_ms()
+
+    def wait(self, timeout: float) -> float:
+        """How long the next socket wait may block: ``timeout``, cut to
+        what is left of the deadline."""
+        if self.deadline is None:
+            return timeout
+        self.deadline.check()
+        return min(timeout, self.deadline.remaining())
+
+    def check_timeout(self) -> None:
+        """After a socket wait timed out: raise :class:`DeadlineExceededError`
+        if the deadline ran out (else the caller re-raises the timeout)."""
+        if self.deadline is not None and self.deadline.expired:
+            raise DeadlineExceededError(
+                "request deadline exceeded waiting for the server"
+            ) from None
+
+    def on_busy(self, busy: BusyReply) -> float:
+        """The sleep before re-sending a request answered ``R_BUSY``
+        (:func:`hinted_backoff`); :class:`ServerBusyError` once
+        ``busy_retries`` or the budget are spent."""
+        if self._busy == self._busy_retries:
+            raise ServerBusyError(
+                f"server still busy after {self._busy_retries} retries"
+            )
+        if not self._budget.spend():
+            raise ServerBusyError(
+                "server busy and the client retry budget is exhausted"
+            )
+        sleep = hinted_backoff(busy.retry_after, self._delay * 2**self._busy)
+        self._busy += 1
+        return self._within_deadline(sleep)
+
+    def on_connection_error(self, error: BaseException) -> float:
+        """The full-jittered sleep before re-dialing after a connection
+        failure; re-raises ``error`` once ``retries`` or the budget are
+        spent."""
+        if self._attempts == self._retries or not self._budget.spend():
+            raise error
+        sleep = full_jitter(self._delay * 2**self._attempts)
+        self._attempts += 1
+        return self._within_deadline(sleep)
+
+    def _within_deadline(self, sleep: float) -> float:
+        if self.deadline is not None and sleep >= self.deadline.remaining():
+            raise DeadlineExceededError(
+                "request deadline exceeded during retry backoff"
+            )
+        return sleep
+
+
+# ----------------------------------------------------------------------
+# What both drivers share
+# ----------------------------------------------------------------------
+class _ClientBase:
+    """Configuration, validation and introspection common to both drivers."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        archive: str = "",
+        timeout: float = 30.0,
+        retries: int = 3,
+        retry_delay: float = 0.05,
+        busy_retries: int = 8,
+        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
+        deadline_ms: int = 0,
+        retry_budget: Optional[RetryBudget] = None,
+    ) -> None:
+        if retries < 0:
+            raise ProtocolError("retries must be non-negative")
+        if busy_retries < 0:
+            raise ProtocolError("busy_retries must be non-negative")
+        if deadline_ms < 0:
+            raise ProtocolError("deadline_ms must be non-negative")
+        self._host = host
+        self._port = port
+        self._archive = archive
+        self._timeout = timeout
+        self._retries = retries
+        self._retry_delay = retry_delay
+        self._busy_retries = busy_retries
+        self._max_frame_bytes = max_frame_bytes
+        self._deadline_ms = deadline_ms
+        self._budget = retry_budget if retry_budget is not None else RetryBudget()
+        self._closed = False
+        self._doc_ids: Optional[List[int]] = None
+        self._busy_seen = 0
+        self._ids = itertools.count(1)
+        self._open_transport()  # this client's connection state (no I/O)
+
+    def _next_request_id(self) -> int:
+        """A fresh request id (32 bits, skipping the reserved 0); ids are
+        unique across all of this client's connections."""
+        return next(self._ids) & 0xFFFFFFFF or 1
+
+    def _retry(self, deadline_ms: Optional[int]) -> RetryState:
+        """A call's retry state, with the per-call or default deadline."""
+        if deadline_ms is None:
+            deadline_ms = self._deadline_ms
+        if deadline_ms < 0:
+            raise ProtocolError("deadline_ms must be non-negative")
+        return RetryState(
+            self._retries,
+            self._busy_retries,
+            self._retry_delay,
+            self._budget,
+            Deadline.from_ms(deadline_ms),
+        )
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise StoreClosedError(f"client for {self._host}:{self._port} is closed")
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._host, self._port
+
+    @property
+    def archive_name(self) -> str:
+        """The archive this client asks the server's router for."""
+        return self._archive
+
+    @property
+    def busy_hints(self) -> int:
+        """How many R_BUSY backpressure hints this client has absorbed."""
+        return self._busy_seen
+
+    @property
+    def retry_budget(self) -> RetryBudget:
+        """The token bucket this client's retries draw from."""
+        return self._budget
+
+
+# ----------------------------------------------------------------------
+# Socket driver
+# ----------------------------------------------------------------------
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
     """Read exactly ``count`` bytes or raise on EOF/truncation."""
     chunks = []
@@ -96,71 +434,7 @@ def _recv_reply(sock: socket.socket, max_frame_bytes: int) -> Tuple[int, int, by
     return protocol.split_reply(_recv_exact(sock, length))
 
 
-async def _recv_reply_async(
-    reader: asyncio.StreamReader, max_frame_bytes: int
-) -> Tuple[int, int, bytes]:
-    """The asyncio twin of :func:`_recv_reply`."""
-    length = protocol.frame_length(await reader.readexactly(4), max_frame_bytes)
-    return protocol.split_reply(await reader.readexactly(length))
-
-
-def _hello_frame(archive: str) -> bytes:
-    """The HELLO request: request id 0, no deadline."""
-    return protocol.encode_request(
-        Opcode.HELLO, 0, 0, protocol.pack_hello(archive=archive)
-    )
-
-
-def _check_hello_reply(opcode: int, payload: bytes) -> None:
-    """Accept an ``R_HELLO`` carrying :data:`~repro.serve.protocol.PROTOCOL_VERSION`;
-    re-raise a handshake ``R_ERROR``; reject anything else."""
-    if opcode == Opcode.R_ERROR:
-        protocol.raise_error_frame(payload)
-    if opcode != Opcode.R_HELLO:
-        raise ProtocolError(
-            f"handshake expected R_HELLO, got {protocol.describe_opcode(opcode)}"
-        )
-    version = protocol.unpack_hello_reply(payload)
-    if version != protocol.PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version mismatch: server speaks {version}, "
-            f"client speaks {protocol.PROTOCOL_VERSION}"
-        )
-
-
-def _raise_wrong_shard(body: bytes) -> None:
-    """Re-raise an ``R_WRONG_SHARD`` refusal as :class:`WrongShardError`.
-
-    The payload carries the epoch the server is at, so the cluster layer
-    can tell a genuinely newer map (refresh and retry) from a stale
-    refusal (give up).
-    """
-    epoch, doc_id = protocol.unpack_wrong_shard(body)
-    raise WrongShardError(
-        f"document {doc_id} is not owned by this shard (map epoch {epoch})",
-        epoch=epoch,
-    )
-
-
-class _SyncConnection:
-    """One handshaken socket: transport + request-id counter."""
-
-    __slots__ = ("sock", "_next_id")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self._next_id = 1
-
-    def next_request_id(self) -> int:
-        request_id = self._next_id
-        self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
-        return request_id
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-class RlzClient:
+class RlzClient(_ClientBase):
     """Synchronous network client for :class:`repro.serve.RlzServer`.
 
     Parameters
@@ -173,16 +447,13 @@ class RlzClient:
     timeout:
         Per-socket-operation timeout in seconds.
     retries:
-        How many times to retry dialing (and re-running an idempotent
-        request on a fresh connection) before giving up.
+        How many times one call retries a failed dial or a connection
+        that died mid-request before giving up.
     retry_delay:
-        Sleep between retries, in seconds (doubles each attempt).
+        Backoff seed between retries, in seconds (doubles each attempt).
     busy_retries:
         How many ``R_BUSY`` backpressure hints one request tolerates
-        (each retried with ``retry_delay`` backoff) before giving up.
-    pool_size:
-        How many idle connections to keep for reuse.  More may be open
-        concurrently; the surplus is closed on return.
+        (each retried with backoff) before giving up.
     deadline_ms:
         Default per-request deadline in milliseconds (0 = none).  The
         remaining budget rides on every request frame and
@@ -193,258 +464,82 @@ class RlzClient:
         retry draws from.  Pass a shared instance to cap retry volume
         across many clients (the cluster does); ``None`` creates a
         private default bucket.
+
+    Requests run on pooled connections: up to two idle ones are kept,
+    and concurrent requests above that dial extra connections that are
+    closed on return.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        archive: str = "",
-        timeout: float = 30.0,
-        retries: int = 3,
-        retry_delay: float = 0.05,
-        busy_retries: int = 8,
-        pool_size: int = 2,
-        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        deadline_ms: int = 0,
-        retry_budget: Optional[RetryBudget] = None,
-    ) -> None:
-        if retries < 0:
-            raise ProtocolError("retries must be non-negative")
-        if busy_retries < 0:
-            raise ProtocolError("busy_retries must be non-negative")
-        if pool_size < 1:
-            raise ProtocolError("pool_size must be at least 1")
-        self._host = host
-        self._port = port
-        self._archive = archive
-        self._timeout = timeout
-        self._retries = retries
-        self._retry_delay = retry_delay
-        self._busy_retries = busy_retries
-        self._pool_size = pool_size
-        self._max_frame_bytes = max_frame_bytes
-        if deadline_ms < 0:
-            raise ProtocolError("deadline_ms must be non-negative")
-        self._deadline_ms = deadline_ms
-        self._budget = retry_budget if retry_budget is not None else RetryBudget()
-        self._pool: List[_SyncConnection] = []
+    def _open_transport(self) -> None:
+        self._pool: List[socket.socket] = []
         self._pool_lock = threading.Lock()
-        self._closed = False
-        self._doc_ids: Optional[List[int]] = None
-        self._busy_seen = 0
 
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _dial_once(self) -> _SyncConnection:
-        sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
+    def _dial(self) -> socket.socket:
+        """A handshaken socket."""
+        sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.sendall(_hello_frame(self._archive))
+            sock.sendall(hello_frame(self._archive))
             opcode, _, payload = _recv_reply(sock, self._max_frame_bytes)
-            _check_hello_reply(opcode, payload)
-            return _SyncConnection(sock)
+            check_hello_reply(opcode, payload)
+            return sock
         except BaseException:
             sock.close()
             raise
 
-    def _dial(self, deadline: Optional[Deadline] = None) -> _SyncConnection:
-        # Full-jittered exponential backoff: after a server restart every
-        # waiting client recomputes the same exponential delay, and
-        # sleeping uniform(0, delay) spreads the reconnect herd instead of
-        # slamming the fresh listener in lockstep.
-        delay = self._retry_delay
-        for attempt in range(self._retries + 1):
-            try:
-                return self._dial_once()
-            except (ConnectionError, socket.timeout, OSError):
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                if deadline is not None:
-                    deadline.check("dial")
-                time.sleep(full_jitter(delay))
-                delay *= 2
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _deadline_for(self, deadline_ms: Optional[int]) -> Optional[Deadline]:
-        """The call's deadline: explicit per-call, else the client default."""
-        if deadline_ms is None:
-            deadline_ms = self._deadline_ms
-        if deadline_ms < 0:
-            raise ProtocolError("deadline_ms must be non-negative")
-        return Deadline.from_ms(deadline_ms)
-
-    @staticmethod
-    def _send_request(
-        conn: _SyncConnection,
-        opcode: int,
-        payload: bytes,
-        deadline: Optional[Deadline],
-    ) -> int:
-        """Send one request frame carrying the call's remaining deadline
-        budget; returns its request id."""
-        request_id = conn.next_request_id()
-        wire_ms = deadline.wire_ms() if deadline is not None else 0
-        conn.sock.sendall(protocol.encode_request(opcode, request_id, wire_ms, payload))
-        return request_id
-
-    def _checkout(self, deadline: Optional[Deadline] = None) -> _SyncConnection:
+    def _checkout(self, retry: RetryState) -> socket.socket:
+        """A pooled connection, else a fresh dial retried under ``retry``."""
         with self._pool_lock:
             if self._pool:
                 return self._pool.pop()
-        return self._dial(deadline)
+        while True:
+            try:
+                return self._dial()
+            except CONNECTION_ERRORS as exc:
+                time.sleep(retry.on_connection_error(exc))
 
-    def _checkin(self, conn: _SyncConnection) -> None:
+    def _checkin(self, conn: socket.socket) -> None:
         with self._pool_lock:
-            if not self._closed and len(self._pool) < self._pool_size:
+            if not self._closed and len(self._pool) < _POOL_SIZE:
                 self._pool.append(conn)
                 return
         conn.close()
 
-    def _read_reply(self, conn: _SyncConnection) -> Tuple[int, int, bytes]:
-        return _recv_reply(conn.sock, self._max_frame_bytes)
+    def _send(
+        self, conn: socket.socket, opcode: int, payload: bytes, retry: RetryState
+    ) -> int:
+        """Send one request frame carrying the call's remaining deadline;
+        returns its request id."""
+        request_id = self._next_request_id()
+        frame = protocol.encode_request(opcode, request_id, retry.wire_ms(), payload)
+        conn.sendall(frame)
+        return request_id
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError(
-                f"client for {self._host}:{self._port} is closed"
-            )
-
-    # ------------------------------------------------------------------
-    # Request/response core
-    # ------------------------------------------------------------------
-    def _exchange(
-        self,
-        conn: _SyncConnection,
-        opcode: int,
-        payload: bytes,
-        expect: int,
-        deadline: Optional[Deadline] = None,
-    ) -> bytes:
-        """One exchange on an already-handshaken connection.
-
-        Raises the transported error for ``R_ERROR`` replies; retries
-        ``R_BUSY`` with backoff (honouring the server's retry-after hint
-        and spending the retry budget).  Connection-level failures
-        propagate for the caller's retry loop.
-        """
-        delay = self._retry_delay
-        for busy in range(self._busy_retries + 1):
-            if deadline is not None:
-                deadline.check()
-                # Never wait on the socket past the call's deadline.
-                conn.sock.settimeout(min(self._timeout, deadline.remaining()))
-            try:
-                request_id = self._send_request(conn, opcode, payload, deadline)
-                reply, reply_id, body = self._read_reply(conn)
-            except socket.timeout:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        "request deadline exceeded waiting for the server"
-                    ) from None
-                raise
-            finally:
-                if deadline is not None:
-                    conn.sock.settimeout(self._timeout)
-            if reply == Opcode.R_ERROR and reply_id == 0:
-                # Request id 0 is reserved: a connection-level error (the
-                # server could not attribute it to any single request).
-                protocol.raise_error_frame(body)
-            if reply_id != request_id:
-                raise ProtocolError(
-                    f"response correlation broke: sent request {request_id}, "
-                    f"got a reply for {reply_id}"
-                )
-            if reply == Opcode.R_TIMEOUT:
-                raise DeadlineExceededError(
-                    body.decode("utf-8", "replace") or "request deadline exceeded"
-                )
-            if reply == Opcode.R_BUSY:
-                self._busy_seen += 1
-                retry_after_ms, _depth = protocol.unpack_busy(body)
-                if busy == self._busy_retries:
-                    raise ServerBusyError(
-                        f"server still busy after {self._busy_retries} retries"
-                    )
-                if not self._budget.spend():
-                    raise ServerBusyError(
-                        "server busy and the client retry budget is exhausted"
-                    )
-                time.sleep(hinted_backoff(retry_after_ms / 1000.0, delay))
-                delay *= 2
-                continue
-            return self._check_reply(reply, body, expect)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    @staticmethod
-    def _check_reply(reply: int, body: bytes, expect: int) -> bytes:
-        if reply == Opcode.R_ERROR:
-            protocol.raise_error_frame(body)
-        if reply == Opcode.R_WRONG_SHARD:
-            _raise_wrong_shard(body)
-        if reply != expect:
-            raise ProtocolError(
-                f"expected {protocol.describe_opcode(expect)}, "
-                f"got {protocol.describe_opcode(reply)}"
-            )
-        return body
-
-    def _request(
-        self,
-        opcode: int,
-        payload: bytes,
-        expect: int,
-        deadline_ms: Optional[int] = None,
-    ) -> bytes:
-        """One request/response exchange, retried on connection failure.
-
-        Every request opcode is idempotent (pure reads), so a connection
-        that dies before the response completes is safely retried on a
-        fresh one.  Structured error frames re-raise the server-side
-        error; they are never retried.  The whole loop — dial, retries,
-        backoff sleeps — runs inside the call's deadline.
-        """
-        self._ensure_open()
-        deadline = self._deadline_for(deadline_ms)
-        delay = self._retry_delay
-        for attempt in range(self._retries + 1):
-            conn = self._checkout(deadline)
-            try:
-                body = self._exchange(conn, opcode, payload, expect, deadline)
-            except DeadlineExceededError:
-                # A reply (the server's R_TIMEOUT or our own local check)
-                # may still be in flight on the wire: never pool it.
-                conn.close()
-                raise
-            except (ConnectionError, socket.timeout, OSError):
-                conn.close()
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                if deadline is not None:
-                    deadline.check()
-                time.sleep(full_jitter(delay))
-                delay *= 2
-                continue
-            except ProtocolError:
-                # The server closes the connection after a protocol
-                # violation (and a violated expectation means the framing
-                # is off); pooling it would poison a later request.
-                conn.close()
-                raise
-            except BaseException:
-                # Archive errors leave the framing intact: reusable.
-                self._checkin(conn)
-                raise
-            self._checkin(conn)
-            return body
-        raise AssertionError("unreachable")  # pragma: no cover
+    def _receive(
+        self, conn: socket.socket, retry: RetryState
+    ) -> Tuple[int, int, bytes]:
+        """One reply frame; the socket wait never outlives the deadline."""
+        if retry.deadline is None:
+            return _recv_reply(conn, self._max_frame_bytes)
+        conn.settimeout(retry.wait(self._timeout))
+        try:
+            return _recv_reply(conn, self._max_frame_bytes)
+        except socket.timeout:
+            retry.check_timeout()
+            raise
+        finally:
+            conn.settimeout(self._timeout)
 
     # ------------------------------------------------------------------
-    # Pipelining
+    # Request/response and pipelining
     # ------------------------------------------------------------------
+    def _call(self, request: Request, deadline_ms: Optional[int] = None) -> Any:
+        """One request/response exchange (a pipeline of one)."""
+        return self._exchange([request], 1, deadline_ms)[0]
+
     def pipelined_get(
         self,
         doc_ids: Sequence[int],
@@ -460,147 +555,89 @@ class RlzClient:
         with local access.  Returns documents in
         request order (duplicates preserved); a connection that dies
         mid-pipeline is retried on a fresh one for the still-unanswered
-        documents only.
+        documents only.  Each document's ``R_BUSY`` replies are retried
+        exactly as one ``get`` would retry them.
         """
         if window < 1:
             raise ProtocolError("window must be at least 1")
+        requests = [get_request(doc_id) for doc_id in doc_ids]
+        return self._exchange(requests, window, deadline_ms)
+
+    def _exchange(
+        self, requests: List[Request], window: int, deadline_ms: Optional[int]
+    ) -> List[Any]:
+        """Run ``requests`` on one connection, up to ``window`` in flight;
+        the parsed results come back in request order.
+
+        A failed connection is replaced (every opcode is idempotent) and
+        only the unanswered requests are re-sent; an ``R_ERROR`` is
+        raised, never retried.  Dials, retries and backoff sleeps all run
+        inside the call's deadline.
+        """
         self._ensure_open()
-        deadline = self._deadline_for(deadline_ms)
-        doc_ids = list(doc_ids)
-        results: List = [_UNSET] * len(doc_ids)
-        if not doc_ids:
-            return []
-        delay = self._retry_delay
-        for attempt in range(self._retries + 1):
-            conn = self._checkout(deadline)
+        retry = self._retry(deadline_ms)
+        results: List[Any] = [_UNSET] * len(requests)
+        busy: Dict[int, RetryState] = {}  # each request's own busy retries
+        while True:
+            to_send = deque(i for i, slot in enumerate(results) if slot is _UNSET)
+            if not to_send:
+                return results
+            conn = self._checkout(retry)
+            pending: Dict[int, int] = {}  # request id in flight -> position
             try:
-                self._pipeline_on(conn, doc_ids, results, window, deadline)
-            except DeadlineExceededError:
+                while to_send or pending:
+                    while to_send and len(pending) < window:
+                        index = to_send.popleft()
+                        request = requests[index]
+                        request_id = self._send(
+                            conn, request.opcode, request.payload, retry
+                        )
+                        pending[request_id] = index
+                    reply, reply_id, body = self._receive(conn, retry)
+                    # A reply nobody asked for fails the correlation check
+                    # before its expected opcode matters.
+                    request = requests[pending.get(reply_id, 0)]
+                    try:
+                        body = check_reply(
+                            reply, reply_id, body, pending, request.expect
+                        )
+                    except BusyReply as exc:
+                        index = pending.pop(reply_id)
+                        self._busy_seen += 1
+                        time.sleep(busy.setdefault(index, retry.renew()).on_busy(exc))
+                        to_send.append(index)
+                        continue
+                    except BaseException:
+                        pending.pop(reply_id, None)
+                        raise
+                    results[pending.pop(reply_id)] = request.parse(body)
+            except CONNECTION_ERRORS as exc:
                 conn.close()
-                raise
-            except (ConnectionError, socket.timeout, OSError):
-                conn.close()
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                if deadline is not None:
-                    deadline.check()
-                time.sleep(full_jitter(delay))
-                delay *= 2
+                time.sleep(retry.on_connection_error(exc))
                 continue
-            except ProtocolError:
-                conn.close()
-                raise
-            except BaseException:
-                # An archive error mid-pipeline may leave replies for the
-                # other in-flight requests unread: the connection cannot
-                # be pooled.
-                conn.close()
+            except BaseException as exc:
+                # Only an archive error with nothing else in flight leaves
+                # the connection reusable: after a deadline a reply may
+                # still arrive, and a protocol error means the framing is off.
+                if pending or isinstance(exc, (DeadlineExceededError, ProtocolError)):
+                    conn.close()
+                else:
+                    self._checkin(conn)
                 raise
             self._checkin(conn)
-            return results
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _pipeline_on(
-        self,
-        conn: _SyncConnection,
-        doc_ids: Sequence[int],
-        results: List,
-        window: int,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        """Run the pipelined window on one connection, filling ``results``.
-
-        On connection failure, everything already in ``results`` stays —
-        the retry resends only the unanswered documents.
-        """
-        to_send = deque(
-            index for index, slot in enumerate(results) if slot is _UNSET
-        )
-        pending: Dict[int, int] = {}
-        busy_budget = self._busy_retries * max(1, len(to_send))
-        while to_send or pending:
-            if deadline is not None:
-                deadline.check()
-                conn.sock.settimeout(min(self._timeout, deadline.remaining()))
-            while to_send and len(pending) < window:
-                index = to_send.popleft()
-                request_id = self._send_request(
-                    conn, Opcode.GET, protocol.pack_doc_id(doc_ids[index]), deadline
-                )
-                pending[request_id] = index
-            try:
-                reply, reply_id, body = self._read_reply(conn)
-            except socket.timeout:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        "pipelined get deadline exceeded"
-                    ) from None
-                raise
-            finally:
-                if deadline is not None:
-                    conn.sock.settimeout(self._timeout)
-            if reply == Opcode.R_ERROR and reply_id == 0:
-                protocol.raise_error_frame(body)  # connection-level error
-            index = pending.pop(reply_id, None)
-            if index is None:
-                raise ProtocolError(
-                    f"response correlation broke: got a reply for unknown "
-                    f"request {reply_id}"
-                )
-            if reply == Opcode.R_DOC:
-                results[index] = body
-            elif reply == Opcode.R_TIMEOUT:
-                raise DeadlineExceededError(
-                    body.decode("utf-8", "replace") or "request deadline exceeded"
-                )
-            elif reply == Opcode.R_BUSY:
-                self._busy_seen += 1
-                retry_after_ms, _depth = protocol.unpack_busy(body)
-                busy_budget -= 1
-                if busy_budget < 0:
-                    raise ServerBusyError(
-                        "server still busy after the pipelined retry budget"
-                    )
-                if not self._budget.spend():
-                    raise ServerBusyError(
-                        "server busy and the client retry budget is exhausted"
-                    )
-                time.sleep(
-                    hinted_backoff(retry_after_ms / 1000.0, self._retry_delay)
-                )
-                to_send.append(index)
-            elif reply == Opcode.R_WRONG_SHARD:
-                _raise_wrong_shard(body)
-            elif reply == Opcode.R_ERROR:
-                protocol.raise_error_frame(body)
-            else:
-                raise ProtocolError(
-                    f"expected r_doc, got {protocol.describe_opcode(reply)}"
-                )
 
     # ------------------------------------------------------------------
     # ArchiveView
     # ------------------------------------------------------------------
     def get(self, doc_id: int, deadline_ms: Optional[int] = None) -> bytes:
         """One decoded document from the remote archive."""
-        return self._request(
-            Opcode.GET, protocol.pack_doc_id(doc_id), Opcode.R_DOC, deadline_ms
-        )
+        return self._call(get_request(doc_id), deadline_ms)
 
     def get_many(
         self, doc_ids: Sequence[int], deadline_ms: Optional[int] = None
     ) -> List[bytes]:
         """Batch retrieval; the reply preserves request order."""
-        doc_ids = list(doc_ids)
-        body = self._request(
-            Opcode.GET_MANY, protocol.pack_doc_ids(doc_ids), Opcode.R_DOCS, deadline_ms
-        )
-        documents = protocol.unpack_documents(body)
-        if len(documents) != len(doc_ids):
-            raise ProtocolError(
-                f"get_many asked for {len(doc_ids)} documents, got {len(documents)}"
-            )
-        return documents
+        return self._call(get_many_request(doc_ids), deadline_ms)
 
     def scan(
         self,
@@ -617,80 +654,43 @@ class RlzClient:
         """
         self._ensure_open()
         requested = list(doc_ids) if doc_ids is not None else None
-        yield from self._scan_stream(self._checkout(), requested, chunk_docs)
-
-    def _scan_stream(
-        self,
-        conn: _SyncConnection,
-        doc_ids: Optional[List[int]],
-        chunk_docs: int,
-    ) -> Iterator[Tuple[int, bytes]]:
-        clean = False
-        started = False
-        try:
-            delay = self._retry_delay
-            for busy in range(self._busy_retries + 1):
-                request_id = self._send_request(
-                    conn, Opcode.SCAN, protocol.pack_scan(chunk_docs, doc_ids), None
-                )
-                reply, reply_id, body = self._read_reply(conn)
-                if reply == Opcode.R_ERROR and reply_id == 0:
-                    protocol.raise_error_frame(body)  # connection-level error
-                if reply_id != request_id:
-                    raise ProtocolError(
-                        f"response correlation broke: sent request {request_id}, "
-                        f"got a reply for {reply_id}"
-                    )
-                if reply == Opcode.R_BUSY and not started:
-                    self._busy_seen += 1
-                    retry_after_ms, _depth = protocol.unpack_busy(body)
-                    if busy == self._busy_retries:
-                        raise ServerBusyError(
-                            f"server still busy after {self._busy_retries} retries"
-                        )
-                    if not self._budget.spend():
-                        raise ServerBusyError(
-                            "server busy and the client retry budget is exhausted"
-                        )
-                    time.sleep(hinted_backoff(retry_after_ms / 1000.0, delay))
-                    delay *= 2
-                    continue
+        payload = protocol.pack_scan(chunk_docs, requested)
+        retry = self._retry(0)
+        while True:
+            conn = self._checkout(retry)
+            clean = started = False
+            try:
+                request_id = self._send(conn, Opcode.SCAN, payload, retry)
                 while True:
-                    if reply == Opcode.R_END:
+                    reply, reply_id, body = self._receive(conn, retry)
+                    # A stream is R_CHUNK frames closed by one R_END.
+                    end = reply == Opcode.R_END
+                    expect = Opcode.R_END if end else Opcode.R_CHUNK
+                    body = check_reply(reply, reply_id, body, (request_id,), expect)
+                    if end:
                         clean = True
                         return
-                    if reply == Opcode.R_WRONG_SHARD:
-                        # A rebalance shed part of the scan mid-stream.
-                        # R_WRONG_SHARD is the stream's terminal frame, so
-                        # the connection's framing is intact and poolable.
-                        clean = True
-                        _raise_wrong_shard(body)
-                    if reply == Opcode.R_ERROR:
-                        protocol.raise_error_frame(body)
-                    if reply != Opcode.R_CHUNK:
-                        raise ProtocolError(
-                            f"scan expected R_CHUNK/R_END, got "
-                            f"{protocol.describe_opcode(reply)}"
-                        )
                     started = True
-                    for item in protocol.unpack_chunk(body):
-                        yield item
-                    reply, reply_id, body = self._read_reply(conn)
-                    if reply == Opcode.R_ERROR and reply_id == 0:
-                        protocol.raise_error_frame(body)  # connection-level
-                    if reply_id != request_id:
-                        raise ProtocolError(
-                            f"response correlation broke mid-scan: expected "
-                            f"{request_id}, got {reply_id}"
-                        )
-            raise AssertionError("unreachable")  # pragma: no cover
-        finally:
-            # An abandoned or failed stream leaves frames in flight: the
-            # connection cannot be pooled.
-            if clean:
-                self._checkin(conn)
-            else:
-                conn.close()
+                    yield from protocol.unpack_chunk(body)
+            except BusyReply as exc:
+                if started:
+                    raise
+                clean = True  # R_BUSY answered the whole request
+                self._busy_seen += 1
+                time.sleep(retry.on_busy(exc))
+            except WrongShardError:
+                # A rebalance shed part of the scan mid-stream.
+                # R_WRONG_SHARD is the stream's terminal frame, so the
+                # connection's framing is intact and poolable.
+                clean = True
+                raise
+            finally:
+                # An abandoned or failed stream leaves frames in flight:
+                # the connection cannot be pooled.
+                if clean:
+                    self._checkin(conn)
+                else:
+                    conn.close()
 
     def iter_documents(self) -> Iterator[Tuple[int, bytes]]:
         """Stream every document in store order over one chunked SCAN."""
@@ -699,8 +699,7 @@ class RlzClient:
     def doc_ids(self) -> List[int]:
         """All stored document IDs (cached: archives are immutable)."""
         if self._doc_ids is None:
-            body = self._request(Opcode.DOC_IDS, b"", Opcode.R_DOC_IDS)
-            self._doc_ids = protocol.unpack_doc_ids(body)
+            self._doc_ids = self._call(DOC_IDS)
         return list(self._doc_ids)
 
     def __len__(self) -> int:
@@ -708,9 +707,7 @@ class RlzClient:
 
     def stats(self) -> Dict[str, float]:
         """The server's stats snapshot (archive + cache + server counters)."""
-        return protocol.unpack_stats(
-            self._request(Opcode.STATS, b"", Opcode.R_STATS)
-        )
+        return self._call(STATS)
 
     def health(self) -> Dict[str, Dict[str, float]]:
         """Per-archive readiness/load from the server's HEALTH opcode.
@@ -718,14 +715,12 @@ class RlzClient:
         Served without queueing at the inflight gate, so it answers even
         while the server is saturated.
         """
-        return protocol.unpack_health(
-            self._request(Opcode.HEALTH, b"", Opcode.R_HEALTH)
-        )
+        return self._call(HEALTH)
 
     def ping(self) -> float:
         """Round-trip time of an empty request, in seconds."""
         start = time.perf_counter()
-        self._request(Opcode.PING, b"", Opcode.R_PONG)
+        self._call(PING)
         return time.perf_counter() - start
 
     # ------------------------------------------------------------------
@@ -749,18 +744,8 @@ class RlzClient:
         each shard ranks with exact global idf; direct callers leave it
         ``None`` and get shard-local statistics.
         """
-        body = self._request(
-            Opcode.SEARCH,
-            protocol.pack_search(
-                query,
-                top_k=top_k,
-                snippet_chars=snippet_chars,
-                global_stats=global_stats,
-            ),
-            Opcode.R_SEARCH,
-            deadline_ms,
-        )
-        return protocol.unpack_search_results(body)
+        request = search_request(query, top_k, snippet_chars, global_stats)
+        return self._call(request, deadline_ms)
 
     def search_stats(
         self, query: str, deadline_ms: Optional[int] = None
@@ -771,13 +756,7 @@ class RlzClient:
         stats leg of the two-phase sharded search: summing these across
         shards yields the exact global idf inputs.
         """
-        body = self._request(
-            Opcode.SEARCH,
-            protocol.pack_search(query, stats_only=True),
-            Opcode.R_SEARCH,
-            deadline_ms,
-        )
-        return protocol.unpack_search_stats(body)
+        return self._call(search_stats_request(query), deadline_ms)
 
     # ------------------------------------------------------------------
     # Partitioned fleets
@@ -789,8 +768,7 @@ class RlzClient:
         so map refreshes work even against a saturated server.  An
         unpartitioned archive answers epoch 0 with an empty label list.
         """
-        body = self._request(Opcode.SHARD_MAP, b"", Opcode.R_SHARD_MAP)
-        return protocol.unpack_shard_map(body)
+        return self._call(SHARD_MAP)
 
     def ingest(
         self,
@@ -805,13 +783,7 @@ class RlzClient:
         Staging is idempotent — re-sending an acked document overwrites
         it with identical bytes.
         """
-        body = self._request(
-            Opcode.INGEST,
-            protocol.pack_chunk(list(items)),
-            Opcode.R_DOC_IDS,
-            deadline_ms,
-        )
-        return protocol.unpack_doc_ids(body)
+        return self._call(ingest_request(items), deadline_ms)
 
     def install_shard_map(
         self, epoch: int, labels: Sequence[str], virtual_nodes: int
@@ -824,39 +796,11 @@ class RlzClient:
         below the server's current one is an idempotent no-op; the reply
         is always the map the server now serves.
         """
-        body = self._request(
-            Opcode.INSTALL_MAP,
-            protocol.pack_shard_map(epoch, list(labels), virtual_nodes),
-            Opcode.R_SHARD_MAP,
-        )
-        return protocol.unpack_shard_map(body)
+        return self._call(install_map_request(epoch, labels, virtual_nodes))
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._host, self._port
-
-    @property
-    def archive_name(self) -> str:
-        """The archive this client asks the server's router for."""
-        return self._archive
-
-    @property
-    def busy_hints(self) -> int:
-        """How many R_BUSY backpressure hints this client has absorbed."""
-        return self._busy_seen
-
-    @property
-    def retry_budget(self) -> RetryBudget:
-        """The token bucket this client's retries draw from."""
-        return self._budget
-
     def close(self) -> None:
         """Close every pooled connection (idempotent)."""
         with self._pool_lock:
@@ -872,6 +816,17 @@ class RlzClient:
         self.close()
 
 
+# ----------------------------------------------------------------------
+# asyncio driver
+# ----------------------------------------------------------------------
+async def _recv_reply_async(
+    reader: asyncio.StreamReader, max_frame_bytes: int
+) -> Tuple[int, int, bytes]:
+    """The asyncio twin of :func:`_recv_reply`."""
+    length = protocol.frame_length(await reader.readexactly(4), max_frame_bytes)
+    return protocol.split_reply(await reader.readexactly(length))
+
+
 class _AsyncConnection:
     """One handshaken asyncio connection, multiplexed.
 
@@ -885,15 +840,9 @@ class _AsyncConnection:
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.futures: Dict[int, "asyncio.Future[Tuple[int, bytes]]"] = {}
+        self.futures: Dict[int, "asyncio.Future[Tuple[int, int, bytes]]"] = {}
         self.reader_task: Optional[asyncio.Task] = None
         self.dead = False
-        self._next_id = 1
-
-    def next_request_id(self) -> int:
-        request_id = self._next_id
-        self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
-        return request_id
 
     def kill(self, exc: Optional[BaseException] = None) -> None:
         """Mark dead, fail every waiter, close the transport."""
@@ -905,18 +854,14 @@ class _AsyncConnection:
             if not future.done():
                 future.set_exception(error)
         self.futures.clear()
-        if self.reader_task is not None and not self.reader_task.done():
-            current = None
-            try:
-                current = asyncio.current_task()
-            except RuntimeError:  # pragma: no cover - no running loop
-                pass
-            if self.reader_task is not current:
-                self.reader_task.cancel()
+        # Always called on the loop: by a request, close() or the reader.
+        reader = self.reader_task
+        if reader is not None and reader is not asyncio.current_task():
+            reader.cancel()
         self.writer.close()
 
 
-class AsyncRlzClient:
+class AsyncRlzClient(_ClientBase):
     """Asyncio client: the coroutine mirror of :class:`RlzClient`.
 
     Matches :class:`repro.api.AsyncRlzArchive`'s surface (``await get`` /
@@ -929,43 +874,12 @@ class AsyncRlzClient:
     backoff.  A dead connection is re-dialed by the next request.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        archive: str = "",
-        timeout: float = 30.0,
-        retries: int = 3,
-        retry_delay: float = 0.05,
-        busy_retries: int = 8,
-        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        deadline_ms: int = 0,
-        retry_budget: Optional[RetryBudget] = None,
-    ) -> None:
-        if retries < 0:
-            raise ProtocolError("retries must be non-negative")
-        if busy_retries < 0:
-            raise ProtocolError("busy_retries must be non-negative")
-        if deadline_ms < 0:
-            raise ProtocolError("deadline_ms must be non-negative")
-        self._host = host
-        self._port = port
-        self._archive = archive
-        self._timeout = timeout
-        self._retries = retries
-        self._retry_delay = retry_delay
-        self._busy_retries = busy_retries
-        self._max_frame_bytes = max_frame_bytes
-        self._deadline_ms = deadline_ms
-        self._budget = retry_budget if retry_budget is not None else RetryBudget()
+    def _open_transport(self) -> None:
         self._mux: Optional[_AsyncConnection] = None
         # Created lazily inside a coroutine: asyncio primitives must bind
         # the running loop (pre-3.10 they grab get_event_loop() eagerly,
         # which breaks clients constructed outside asyncio.run()).
         self._mux_guard: Optional[asyncio.Lock] = None
-        self._closed = False
-        self._doc_ids: Optional[List[int]] = None
-        self._busy_seen = 0
 
     @property
     def _mux_lock(self) -> asyncio.Lock:
@@ -976,12 +890,12 @@ class AsyncRlzClient:
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    async def _dial_once(self) -> _AsyncConnection:
+    async def _dial(self) -> _AsyncConnection:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(self._host, self._port), self._timeout
         )
         try:
-            writer.write(_hello_frame(self._archive))
+            writer.write(hello_frame(self._archive))
             await writer.drain()
             try:
                 opcode, _, payload = await asyncio.wait_for(
@@ -989,7 +903,7 @@ class AsyncRlzClient:
                 )
             except asyncio.IncompleteReadError as exc:
                 raise ConnectionError(f"connection closed mid-frame: {exc}") from exc
-            _check_hello_reply(opcode, payload)
+            check_hello_reply(opcode, payload)
             return _AsyncConnection(reader, writer)
         except BaseException:
             writer.close()
@@ -998,12 +912,9 @@ class AsyncRlzClient:
     async def _mux_connection(self) -> _AsyncConnection:
         """The shared multiplexed connection (dial or revive as needed)."""
         async with self._mux_lock:
-            if self._closed:
-                raise StoreClosedError(
-                    f"client for {self._host}:{self._port} is closed"
-                )
+            self._ensure_open()
             if self._mux is None or self._mux.dead:
-                conn = await self._dial_once()
+                conn = await self._dial()
                 conn.reader_task = asyncio.ensure_future(self._mux_reader(conn))
                 self._mux = conn
             return self._mux
@@ -1012,22 +923,18 @@ class AsyncRlzClient:
         """Dispatch tagged replies to their futures until the peer goes."""
         try:
             while True:
-                opcode, request_id, payload = await _recv_reply_async(
-                    conn.reader, self._max_frame_bytes
-                )
-                if opcode == Opcode.R_ERROR and request_id == 0:
-                    # Connection-level error: fail every in-flight request
-                    # with the server's actual complaint.
-                    try:
-                        protocol.raise_error_frame(payload)
-                    except BaseException as exc:
-                        conn.kill(exc)
+                reply = await _recv_reply_async(conn.reader, self._max_frame_bytes)
+                if reply[1] == 0:
+                    # The reserved id: a connection-level complaint that
+                    # every waiter's classifier re-raises.
+                    for future in conn.futures.values():
+                        if not future.done():
+                            future.set_result(reply)
+                    conn.kill()
                     return
-                future = conn.futures.pop(request_id, None)
+                future = conn.futures.pop(reply[1], None)
                 if future is not None and not future.done():
-                    future.set_result((opcode, payload))
-        except asyncio.CancelledError:
-            raise
+                    future.set_result(reply)
         except ProtocolError as exc:
             conn.kill(exc)
         except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
@@ -1035,140 +942,58 @@ class AsyncRlzClient:
         except Exception as exc:  # pragma: no cover - defensive
             conn.kill(ConnectionError(f"reader failed: {exc}"))
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError(
-                f"client for {self._host}:{self._port} is closed"
-            )
-
     # ------------------------------------------------------------------
-    # Request/response core
+    # Request/response
     # ------------------------------------------------------------------
-    def _deadline_for(self, deadline_ms: Optional[int]) -> Optional[Deadline]:
-        """The call's deadline: explicit per-call, else the client default."""
-        if deadline_ms is None:
-            deadline_ms = self._deadline_ms
-        if deadline_ms < 0:
-            raise ProtocolError("deadline_ms must be non-negative")
-        return Deadline.from_ms(deadline_ms)
-
-    async def _request(
-        self,
-        opcode: int,
-        payload: bytes,
-        expect: int,
-        deadline_ms: Optional[int] = None,
-    ) -> bytes:
+    async def _call(self, request: Request, deadline_ms: Optional[int] = None) -> Any:
+        """One tagged exchange over the shared connection, retried under
+        the call's retry state exactly as :meth:`RlzClient._call` is."""
         self._ensure_open()
-        deadline = self._deadline_for(deadline_ms)
-        delay = self._retry_delay
-        for attempt in range(self._retries + 1):
+        retry = self._retry(deadline_ms)
+        while True:
             conn = None
             try:
                 conn = await self._mux_connection()
-                reply, body = await self._mux_exchange(conn, opcode, payload, deadline)
-            except (ConnectionError, asyncio.TimeoutError, OSError):
+                request_id = self._next_request_id()
+                future = asyncio.get_running_loop().create_future()
+                conn.futures[request_id] = future
+                try:
+                    conn.writer.write(
+                        protocol.encode_request(
+                            request.opcode, request_id, retry.wire_ms(), request.payload
+                        )
+                    )
+                    await conn.writer.drain()
+                    reply, reply_id, body = await asyncio.wait_for(
+                        future, retry.wait(self._timeout)
+                    )
+                except asyncio.TimeoutError:
+                    retry.check_timeout()
+                    raise
+                finally:
+                    conn.futures.pop(request_id, None)
+                body = check_reply(reply, reply_id, body, (request_id,), request.expect)
+            except BusyReply as busy:
+                self._busy_seen += 1
+                await asyncio.sleep(retry.on_busy(busy))
+                continue
+            except CONNECTION_ERRORS as exc:
                 if conn is not None:
                     conn.kill()
-                if attempt == self._retries or not self._budget.spend():
-                    raise
-                if deadline is not None:
-                    deadline.check()
-                await asyncio.sleep(full_jitter(delay))
-                delay *= 2
+                await asyncio.sleep(retry.on_connection_error(exc))
                 continue
-            return self._check_reply(reply, body, expect)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _mux_exchange(
-        self,
-        conn: _AsyncConnection,
-        opcode: int,
-        payload: bytes,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[int, bytes]:
-        """One tagged exchange over the shared connection, R_BUSY retried."""
-        loop = asyncio.get_running_loop()
-        delay = self._retry_delay
-        for busy in range(self._busy_retries + 1):
-            if deadline is not None:
-                deadline.check()
-            wait = self._timeout
-            if deadline is not None:
-                wait = min(wait, deadline.remaining())
-            request_id = conn.next_request_id()
-            future: "asyncio.Future[Tuple[int, bytes]]" = loop.create_future()
-            conn.futures[request_id] = future
-            try:
-                wire_ms = deadline.wire_ms() if deadline is not None else 0
-                conn.writer.write(
-                    protocol.encode_request(opcode, request_id, wire_ms, payload)
-                )
-                await conn.writer.drain()
-                reply, body = await asyncio.wait_for(future, wait)
-            except asyncio.TimeoutError:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        "request deadline exceeded waiting for the server"
-                    ) from None
-                raise
-            finally:
-                conn.futures.pop(request_id, None)
-            if reply == Opcode.R_TIMEOUT:
-                raise DeadlineExceededError(
-                    body.decode("utf-8", "replace") or "request deadline exceeded"
-                )
-            if reply == Opcode.R_BUSY:
-                self._busy_seen += 1
-                retry_after_ms, _depth = protocol.unpack_busy(body)
-                if busy == self._busy_retries:
-                    raise ServerBusyError(
-                        f"server still busy after {self._busy_retries} retries"
-                    )
-                if not self._budget.spend():
-                    raise ServerBusyError(
-                        "server busy and the client retry budget is exhausted"
-                    )
-                await asyncio.sleep(hinted_backoff(retry_after_ms / 1000.0, delay))
-                delay *= 2
-                continue
-            return reply, body
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    @staticmethod
-    def _check_reply(reply: int, body: bytes, expect: int) -> bytes:
-        if reply == Opcode.R_ERROR:
-            protocol.raise_error_frame(body)
-        if reply == Opcode.R_WRONG_SHARD:
-            _raise_wrong_shard(body)
-        if reply != expect:
-            raise ProtocolError(
-                f"expected {protocol.describe_opcode(expect)}, "
-                f"got {protocol.describe_opcode(reply)}"
-            )
-        return body
+            return request.parse(body)
 
     # ------------------------------------------------------------------
     # AsyncArchiveView
     # ------------------------------------------------------------------
     async def get(self, doc_id: int, deadline_ms: Optional[int] = None) -> bytes:
-        return await self._request(
-            Opcode.GET, protocol.pack_doc_id(doc_id), Opcode.R_DOC, deadline_ms
-        )
+        return await self._call(get_request(doc_id), deadline_ms)
 
     async def get_many(
         self, doc_ids: Sequence[int], deadline_ms: Optional[int] = None
     ) -> List[bytes]:
-        doc_ids = list(doc_ids)
-        body = await self._request(
-            Opcode.GET_MANY, protocol.pack_doc_ids(doc_ids), Opcode.R_DOCS, deadline_ms
-        )
-        documents = protocol.unpack_documents(body)
-        if len(documents) != len(doc_ids):
-            raise ProtocolError(
-                f"get_many asked for {len(doc_ids)} documents, got {len(documents)}"
-            )
-        return documents
+        return await self._call(get_many_request(doc_ids), deadline_ms)
 
     async def gather(self, doc_ids: Sequence[int]) -> List[bytes]:
         """Fan per-document requests out concurrently, every one
@@ -1177,24 +1002,19 @@ class AsyncRlzClient:
 
     async def doc_ids(self) -> List[int]:
         if self._doc_ids is None:
-            body = await self._request(Opcode.DOC_IDS, b"", Opcode.R_DOC_IDS)
-            self._doc_ids = protocol.unpack_doc_ids(body)
+            self._doc_ids = await self._call(DOC_IDS)
         return list(self._doc_ids)
 
     async def stats(self) -> Dict[str, float]:
-        return protocol.unpack_stats(
-            await self._request(Opcode.STATS, b"", Opcode.R_STATS)
-        )
+        return await self._call(STATS)
 
     async def health(self) -> Dict[str, Dict[str, float]]:
         """Per-archive readiness/load from the server's HEALTH opcode."""
-        return protocol.unpack_health(
-            await self._request(Opcode.HEALTH, b"", Opcode.R_HEALTH)
-        )
+        return await self._call(HEALTH)
 
     async def ping(self) -> float:
         start = time.perf_counter()
-        await self._request(Opcode.PING, b"", Opcode.R_PONG)
+        await self._call(PING)
         return time.perf_counter() - start
 
     # ------------------------------------------------------------------
@@ -1209,38 +1029,21 @@ class AsyncRlzClient:
         deadline_ms: Optional[int] = None,
     ) -> List[protocol.SearchHit]:
         """BM25 top-k over the server's index; see :meth:`RlzClient.search`."""
-        body = await self._request(
-            Opcode.SEARCH,
-            protocol.pack_search(
-                query,
-                top_k=top_k,
-                snippet_chars=snippet_chars,
-                global_stats=global_stats,
-            ),
-            Opcode.R_SEARCH,
-            deadline_ms,
-        )
-        return protocol.unpack_search_results(body)
+        request = search_request(query, top_k, snippet_chars, global_stats)
+        return await self._call(request, deadline_ms)
 
     async def search_stats(
         self, query: str, deadline_ms: Optional[int] = None
     ) -> Tuple[int, int, Dict[str, int]]:
         """This shard's per-term corpus stats; see :meth:`RlzClient.search_stats`."""
-        body = await self._request(
-            Opcode.SEARCH,
-            protocol.pack_search(query, stats_only=True),
-            Opcode.R_SEARCH,
-            deadline_ms,
-        )
-        return protocol.unpack_search_stats(body)
+        return await self._call(search_stats_request(query), deadline_ms)
 
     # ------------------------------------------------------------------
     # Partitioned fleets
     # ------------------------------------------------------------------
     async def shard_map(self) -> Tuple[int, List[str], int]:
         """The server's shard map ``(epoch, labels, virtual_nodes)``."""
-        body = await self._request(Opcode.SHARD_MAP, b"", Opcode.R_SHARD_MAP)
-        return protocol.unpack_shard_map(body)
+        return await self._call(SHARD_MAP)
 
     async def ingest(
         self,
@@ -1248,51 +1051,17 @@ class AsyncRlzClient:
         deadline_ms: Optional[int] = None,
     ) -> List[int]:
         """Stage documents for a rebalance; see :meth:`RlzClient.ingest`."""
-        body = await self._request(
-            Opcode.INGEST,
-            protocol.pack_chunk(list(items)),
-            Opcode.R_DOC_IDS,
-            deadline_ms,
-        )
-        return protocol.unpack_doc_ids(body)
+        return await self._call(ingest_request(items), deadline_ms)
 
     async def install_shard_map(
         self, epoch: int, labels: Sequence[str], virtual_nodes: int
     ) -> Tuple[int, List[str], int]:
         """Commit a new shard map; see :meth:`RlzClient.install_shard_map`."""
-        body = await self._request(
-            Opcode.INSTALL_MAP,
-            protocol.pack_shard_map(epoch, list(labels), virtual_nodes),
-            Opcode.R_SHARD_MAP,
-        )
-        return protocol.unpack_shard_map(body)
+        return await self._call(install_map_request(epoch, labels, virtual_nodes))
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._host, self._port
-
-    @property
-    def archive_name(self) -> str:
-        """The archive this client asks the server's router for."""
-        return self._archive
-
-    @property
-    def busy_hints(self) -> int:
-        """How many R_BUSY backpressure hints this client has absorbed."""
-        return self._busy_seen
-
-    @property
-    def retry_budget(self) -> RetryBudget:
-        """The token bucket this client's retries draw from."""
-        return self._budget
-
     async def close(self) -> None:
         async with self._mux_lock:
             self._closed = True
@@ -1301,7 +1070,7 @@ class AsyncRlzClient:
             mux.kill(StoreClosedError("client closed"))
             try:
                 await mux.writer.wait_closed()
-            except (ConnectionError, OSError):
+            except OSError:
                 pass
 
     async def __aenter__(self) -> "AsyncRlzClient":

@@ -12,14 +12,14 @@ servers.  :class:`ClusterClient` makes a fleet of
   remaps the documents it owned (the classic consistent-hashing
   guarantee), which keeps per-server decode caches hot across fleet
   changes;
-* every endpoint is assumed to be able to serve every document (replicas
-  of one archive, the deployment the benchmarks and CI run): the shard
+* in a replica fleet every endpoint serves every document: the shard
   map spreads load and concentrates each document's cache hits on its
   primary, and the remaining ring order is the **failover path**;
 * a per-endpoint :class:`CircuitBreaker` trips after consecutive
   connection failures and re-routes around the dead endpoint for a
   cooldown, so a dead shard costs one failed dial per cooldown instead
-  of hammering retries on every request;
+  of hammering retries on every request; a saturated endpoint
+  (sustained ``R_BUSY``) is re-routed around without tripping it;
 * ``get_many`` fans out one *pipelined* batch per endpoint (concurrent
   threads), fans the replies back in, and preserves input order exactly —
   duplicates included; documents of a shard that dies mid-batch are
@@ -29,19 +29,38 @@ servers.  :class:`ClusterClient` makes a fleet of
   (each endpoint streams only the documents it owns, in store order) and
   merges the streams back into exact store order.
 
-The client implements :class:`repro.api.ArchiveView`, so everything
+Every one of those decisions lives once, in :class:`ClusterPolicy`;
+:class:`ClusterClient` (threads over :class:`RlzClient`\\ s) and
+:class:`AsyncClusterClient` (``asyncio.gather`` over one multiplexed
+:class:`AsyncRlzClient` connection per shard) are its two drivers.  Both
+implement the :class:`repro.api.ArchiveView` contract, so everything
 written against the facade — ``repro get``, the conformance battery, the
 benchmarks — runs unchanged over a whole fleet.
 """
 
 from __future__ import annotations
 
+import asyncio
 import queue
 import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from operator import methodcaller
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import (
     ConfigurationError,
@@ -50,11 +69,17 @@ from ..errors import (
     StoreClosedError,
     WrongShardError,
 )
-from .client import RlzClient
+from .client import CONNECTION_ERRORS, AsyncRlzClient, RlzClient
 from .protocol import SearchHit
 from .retry import RetryBudget
 
-__all__ = ["CircuitBreaker", "ClusterClient", "ShardMap"]
+__all__ = [
+    "AsyncClusterClient",
+    "CircuitBreaker",
+    "ClusterClient",
+    "ClusterPolicy",
+    "ShardMap",
+]
 
 #: Fibonacci-hashing multiplier (odd, ~2**64 / golden ratio) — the same
 #: constant the shared cache and the compact jump index use.
@@ -232,10 +257,7 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """Whether a request may go to this endpoint right now (pure query)."""
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            return self._clock() - self._opened_at >= self._cooldown
+        return self.state != "open"
 
     def try_trial(self) -> bool:
         """Admit one request: always when closed, exactly once in half-open.
@@ -279,103 +301,61 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
 
 
-#: Connection-level failures that trigger failover (archive-level errors —
-#: a missing document, say — are answers, not failures).
-_FAILOVER_ERRORS = (ConnectionError, TimeoutError, OSError)
+#: One fan-out step of a policy flow: ``label -> job(client)``.
+Jobs = Dict[str, Callable[[Any], Any]]
+#: A cluster operation as a generator: it yields :data:`Jobs`, receives
+#: ``label -> outcome`` (a job's result or the exception it raised).
+Flow = Generator[Jobs, Dict[str, Any], Any]
 
 
-class _Success:
-    """A failover attempt's result (may legitimately be any value)."""
+class ClusterPolicy:
+    """Every decision of a cluster client, with no I/O.
 
-    __slots__ = ("result",)
-
-    def __init__(self, result) -> None:
-        self.result = result
-
-
-class _Failure:
-    """A failover attempt's connection-level error."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-
-class ClusterClient:
-    """One :class:`~repro.api.ArchiveView` over N server endpoints.
-
-    Parameters
-    ----------
-    endpoints:
-        ``host:port`` strings (or ``(host, port)`` tuples) of the servers.
-        Every endpoint must be able to serve every document (replicas).
-    archive:
-        Archive name passed in each HELLO (multi-archive routers).
-    virtual_nodes:
-        Consistent-hash points per endpoint (see :class:`ShardMap`).
-    breaker_threshold, breaker_cooldown:
-        Per-endpoint :class:`CircuitBreaker` tuning.
-    pipeline_window:
-        In-flight request window per endpoint for ``get_many`` /
-        ``pipelined_get`` fan-out.
-    deadline_ms:
-        Default per-request deadline propagated to every shard client
-        (0 = none); per-call ``deadline_ms=`` arguments override it.
-    hedge_delay:
-        Seconds to wait for a primary shard before firing a backup
-        request at the next replica (0 = hedging off).  The first reply
-        wins; the loser is abandoned.  Set near the fleet's p99 so hedges
-        stay rare — hedging trades a little extra load for cutting the
-        latency tail of one slow shard.
-    retry_budget:
-        One token-bucket :class:`~repro.serve.retry.RetryBudget` shared
-        by *every* shard client, so total cluster retry volume during a
-        brownout is capped at the bucket's refill rate (``None`` creates
-        a default shared bucket).
-    client_options:
-        Extra keyword arguments for every underlying :class:`RlzClient`
-        (``timeout``, ``retries``, ``deadline_ms``, ...).
+    It holds the :class:`ShardMap` and one :class:`CircuitBreaker` per
+    endpoint, and writes each cluster operation once, as a :data:`Flow`.
+    A driver runs a flow's fan-out steps on its endpoint clients:
+    :class:`ClusterClient` with threads over ``RlzClient``\\ s,
+    :class:`AsyncClusterClient` with ``asyncio.gather`` over
+    ``AsyncRlzClient``\\ s.  The two client classes share method names
+    and signatures, so one job serves both (a sync job returns the
+    result, an async one the coroutine).
     """
+
+    #: Distinct queries whose global statistics are kept per epoch.
+    _STATS_CACHE_CAP = 256
+    #: The endpoint client class jobs run on (RlzClient or AsyncRlzClient).
+    _client_class: type
+    #: Seconds a tripped breaker stays open.
+    _breaker_cooldown = 1.0
 
     def __init__(
         self,
         endpoints: Sequence[Union[str, Tuple[str, int]]],
         archive: str = "",
         virtual_nodes: int = 64,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 1.0,
-        pipeline_window: int = 32,
         deadline_ms: int = 0,
-        hedge_delay: float = 0.0,
         retry_budget: Optional[RetryBudget] = None,
         **client_options,
     ) -> None:
-        if hedge_delay < 0:
-            raise ConfigurationError("hedge_delay must be non-negative")
         labels = [self._normalize(endpoint) for endpoint in endpoints]
         self._shard_map = ShardMap(labels, virtual_nodes=virtual_nodes)
         self._archive = archive
-        self._pipeline_window = pipeline_window
-        self._hedge_delay = hedge_delay
         self._budget = retry_budget if retry_budget is not None else RetryBudget()
         client_options.setdefault("deadline_ms", deadline_ms)
         client_options.setdefault("retry_budget", self._budget)
         self._client_options = client_options
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        self._clients: Dict[str, RlzClient] = {}
+        self._clients: Dict[str, Any] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         for label in labels:
             self._add_endpoint(label)
         self._closed = False
         self._doc_ids: Optional[List[int]] = None
+        self._bootstrapped = False
         self._failovers = 0
         self._hedges = 0
         self._hedge_wins = 0
         self._epoch_refreshes = 0
         self._wrong_shard_retries = 0
-        self._bootstrapped = False
         self._stats_cache: "OrderedDict[str, Tuple[int, int, Dict[str, int]]]" = (
             OrderedDict()
         )
@@ -402,12 +382,14 @@ class ClusterClient:
         if label in self._clients:
             return
         host, _, port_text = ShardMap.transport(label).rpartition(":")
-        self._clients[label] = RlzClient(
+        self._clients[label] = self._client_class(
             host, int(port_text), archive=self._archive, **self._client_options
         )
-        self._breakers[label] = CircuitBreaker(
-            self._breaker_threshold, self._breaker_cooldown
-        )
+        self._breakers[label] = CircuitBreaker(cooldown=self._breaker_cooldown)
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise StoreClosedError("cluster client is closed")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -440,19 +422,13 @@ class ClusterClient:
         return self._failovers
 
     @property
-    def hedges(self) -> int:
-        """How many backup requests hedged ``get`` has fired."""
-        return self._hedges
-
-    @property
-    def hedge_wins(self) -> int:
-        """How many hedged ``get``\\ s the backup leg won."""
-        return self._hedge_wins
-
-    @property
     def retry_budget(self) -> RetryBudget:
         """The token bucket shared by every shard client's retries."""
         return self._budget
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def breaker(self, endpoint: str) -> CircuitBreaker:
         """The circuit breaker guarding ``endpoint``."""
@@ -507,29 +483,24 @@ class ClusterClient:
             self._stats_cache.clear()
             return True
 
-    def refresh_shard_map(self, prefer: Optional[str] = None) -> bool:
-        """Pull the shard map from the fleet; adopt it if its epoch is newer.
-
-        Queries ``prefer`` first (the endpoint that just refused a request
-        has the freshest view), then the rest of the fleet, and stops at
-        the first answer that advances the epoch.  Returns whether a newer
-        map was adopted.  Unreachable endpoints are skipped — refreshing
-        must never be harder than the read it is trying to save.
-        """
+    def _refresh_flow(self, prefer: Optional[str] = None) -> Flow:
+        """``refresh_shard_map``: ``prefer``, then the current map's
+        endpoints, then every endpoint ever known, until one's map adopts."""
         self._ensure_open()
         ordering = [prefer] if prefer in self._clients else []
         ordering += [label for label in self.endpoints if label not in ordering]
         ordering += [label for label in self._clients if label not in ordering]
         for label in ordering:
-            try:
-                epoch, labels, virtual_nodes = self._clients[label].shard_map()
-            except _FAILOVER_ERRORS + (ProtocolError,):
+            outcome = (yield {label: methodcaller("shard_map")})[label]
+            if isinstance(outcome, CONNECTION_ERRORS + (ProtocolError,)):
                 continue
-            if self._adopt(epoch, labels, virtual_nodes):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            if self._adopt(*outcome):
                 return True
         return False
 
-    def _maybe_bootstrap(self) -> None:
+    def _bootstrap_flow(self) -> Flow:
         """One-time lazy shard-map bootstrap from any reachable endpoint.
 
         Partitioned servers announce an epoch ≥ 1; replica servers answer
@@ -541,108 +512,448 @@ class ClusterClient:
             return
         self._bootstrapped = True
         try:
-            self.refresh_shard_map()
+            yield from self._refresh_flow()
         except StoreClosedError:
             raise
         except Exception:
             pass
 
-    def _retry_wrong_shard(self, call: Callable[[], object]):
-        """Run ``call``; on :class:`WrongShardError` refresh the map and
-        retry against the new owner, spending the shared retry budget.
+    def _retry_wrong_shard(self, attempts: int, refreshed: bool) -> bool:
+        """Whether the ``attempts``-th wrong-shard refusal of one call is
+        retried.  Bounded: after the first, a retry must follow a
+        ``refreshed`` (newer) map; each spends a shared budget token; at
+        most ``max(2, endpoints)`` attempts."""
+        if attempts > max(2, len(self.endpoints)) or (attempts > 1 and not refreshed):
+            return False
+        if not self._budget.spend():
+            return False
+        with self._lock:
+            self._wrong_shard_retries += 1
+        return True
 
-        Bounded: each retry must either follow an adopted newer epoch or
-        spend a budget token; when neither is possible the error stands.
+    # ------------------------------------------------------------------
+    # Routing and breaker bookkeeping
+    # ------------------------------------------------------------------
+    def _ordered(self, route: Sequence[str]) -> List[str]:
+        """``route`` with tripped endpoints demoted to the back.
+
+        They are not dropped: if *every* breaker is open the request
+        still tries them (an all-open cluster should fail with the real
+        connection error, not an artificial one).
         """
-        attempts = 0
-        while True:
-            try:
-                return call()
-            except WrongShardError as exc:
-                attempts += 1
-                refreshed = self.refresh_shard_map()
-                if attempts > max(2, len(self.endpoints)) or not self._budget.spend():
-                    raise
-                if not refreshed and attempts > 1:
-                    raise
-                with self._lock:
-                    self._wrong_shard_retries += 1
-                del exc
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError("cluster client is closed")
+        allowed = [label for label in route if self._breakers[label].allow()]
+        return allowed + [label for label in route if label not in allowed]
 
     def _candidates(self, doc_id: int) -> List[str]:
-        """The ring order for ``doc_id`` with tripped endpoints demoted.
+        """The ring order for ``doc_id`` with tripped endpoints demoted."""
+        return self._ordered(self._shard_map.route(doc_id))
 
-        Endpoints whose breaker is open go to the back rather than being
-        dropped: if *every* breaker is open the request still tries them
-        (an all-open cluster should fail with the real connection error,
-        not an artificial one).
+    def _live_owner(self, doc_id: int, dead: Container[str]) -> str:
+        """The first candidate for ``doc_id`` not ``dead`` in this call."""
+        for label in self._candidates(doc_id):
+            if label not in dead:
+                return label
+        raise ConnectionError("no cluster endpoint is reachable")
+
+    def _walk(self, route: Sequence[str]) -> Iterator[Tuple[int, str]]:
+        """The failover walk over ``route``: ``(position, label)`` pairs.
+
+        Endpoints whose breaker admits the request come first, those
+        refusing admission last.  Lazy: a half-open breaker's one probe
+        is claimed only when the walk reaches it.
         """
-        route = self._shard_map.route(doc_id)
-        allowed = [label for label in route if self._breakers[label].allow()]
-        blocked = [label for label in route if label not in allowed]
-        return allowed + blocked
+        skipped: List[Tuple[int, str]] = []
+        for position, label in enumerate(self._ordered(route)):
+            if self._breakers[label].try_trial():
+                yield position, label
+            else:
+                skipped.append((position, label))
+        yield from skipped
 
-    def _with_failover(self, doc_id: int, call: Callable[[RlzClient], object]):
-        """Run ``call`` against the ring order, recording breaker outcomes.
+    def _settle(
+        self, label: str, error: Optional[BaseException] = None, position: int = 0
+    ) -> bool:
+        """Record one endpoint call's outcome on its breaker; returns
+        whether the error means "try another endpoint".
 
-        Connection-level failures trip the breaker; a sustained ``R_BUSY``
-        (:class:`~repro.errors.ServerBusyError`) re-routes *without*
-        tripping it — the endpoint is alive, just saturated, and should
-        come straight back into rotation.  Endpoints whose breaker
-        refuses admission (open, or half-open with the probe already
-        claimed) are skipped in the first pass; if *nothing* admitted the
-        request, a forced second pass tries them anyway so an all-open
-        cluster fails with the real connection error.
+        The one rule for every fan-out site: an answer (or an
+        ``R_WRONG_SHARD`` refusal: the endpoint is healthy, the map stale)
+        is a success; a sustained ``R_BUSY`` releases the trial (alive,
+        just saturated) and fails over; a connection error counts a
+        failure and fails over; any other error releases the trial and
+        propagates.  A success at ``position > 0`` counts a failover.
+        """
+        breaker = self._breakers[label]
+        if error is None or isinstance(error, WrongShardError):
+            breaker.record_success()
+            if error is None and position:
+                with self._lock:
+                    self._failovers += 1
+            return False
+        if isinstance(error, CONNECTION_ERRORS):
+            breaker.record_failure()
+            return True
+        breaker.release_trial()
+        return isinstance(error, ServerBusyError)
+
+    def _failover_flow(
+        self,
+        route: Sequence[str],
+        job: Callable[[Any], Any],
+        skip: Container[str] = (),
+        error: Optional[BaseException] = None,
+    ) -> Flow:
+        """Run ``job`` down the failover walk of ``route`` (skipping
+        ``skip``) until an endpoint answers; the last failover error
+        stands if none does."""
+        self._ensure_open()
+        for position, label in self._walk(route):
+            if label in skip:
+                continue
+            outcome = (yield {label: job})[label]
+            if isinstance(outcome, BaseException):
+                if not self._settle(label, outcome):
+                    raise outcome
+                error = outcome
+                continue
+            self._settle(label, None, position)
+            return outcome
+        assert error is not None
+        raise error
+
+    def _settle_all(
+        self, outcomes: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Dict[str, BaseException], Dict[str, BaseException]]:
+        """Settle every outcome of a fan-out step on its breaker; returns
+        the answers, the failover errors and the other errors by label."""
+        answers: Dict[str, Any] = {}
+        failovers: Dict[str, BaseException] = {}
+        errors: Dict[str, BaseException] = {}
+        for label, outcome in outcomes.items():
+            if not isinstance(outcome, BaseException):
+                self._settle(label)
+                answers[label] = outcome
+            elif self._settle(label, outcome):
+                failovers[label] = outcome
+            else:
+                errors[label] = outcome
+        return answers, failovers, errors
+
+    def _all_flow(self, job: Callable[[Any], Any]) -> Flow:
+        """``job`` on every endpoint at once; every one must answer (an
+        open breaker is not skipped: the request is the probe).  Archive
+        errors are raised before connection errors, as the more specific
+        diagnosis.  Returns the answers in endpoint order."""
+        answers, failovers, errors = self._settle_all(
+            (yield {label: job for label in self.endpoints})
+        )
+        if errors or failovers:
+            raise (list(errors.values()) + list(failovers.values()))[0]
+        return list(answers.values())
+
+    # ------------------------------------------------------------------
+    # Operations
+    # ------------------------------------------------------------------
+    def _get_flow(self, doc_id: int, deadline_ms: Optional[int]) -> Flow:
+        """``get``: one attempt, and on a wrong-shard refusal a map
+        refresh and a retry against the new owner."""
+        self._ensure_open()
+        yield from self._bootstrap_flow()
+        refusals = 0
+        while True:
+            try:
+                return (yield from self._get_attempt(doc_id, deadline_ms))
+            except WrongShardError:
+                refusals += 1
+                refreshed = yield from self._refresh_flow()
+                if not self._retry_wrong_shard(refusals, refreshed):
+                    raise
+
+    def _get_attempt(self, doc_id: int, deadline_ms: Optional[int]) -> Flow:
+        """One ``get`` down the document's ring order."""
+        return (
+            yield from self._failover_flow(
+                self._shard_map.route(doc_id),
+                lambda client: client.get(doc_id, deadline_ms),
+            )
+        )
+
+    def _get_many_flow(
+        self, doc_ids: Sequence[int], batch: Callable[[Any, List[int]], Any]
+    ) -> Flow:
+        """``get_many``: rounds of per-endpoint ``batch(client, ids)``.
+
+        Endpoints that fail *within this call* join a dead set and are
+        routed around at once, whatever their breaker says (the breaker
+        shields future calls; the dead set shields this one).  A
+        ``R_WRONG_SHARD`` refusal refreshes the map and re-groups the rest.
         """
         self._ensure_open()
-        last_error: Optional[BaseException] = None
-        candidates = self._candidates(doc_id)
-        skipped: List[Tuple[int, str]] = []
-        for position, label in enumerate(candidates):
-            if not self._breakers[label].try_trial():
-                skipped.append((position, label))
-                continue
-            outcome = self._one_attempt(label, position, call)
-            if not isinstance(outcome, _Failure):
-                return outcome.result
-            last_error = outcome.error
-        for position, label in skipped:
-            outcome = self._one_attempt(label, position, call)
-            if not isinstance(outcome, _Failure):
-                return outcome.result
-            last_error = outcome.error
-        assert last_error is not None
-        raise last_error
+        yield from self._bootstrap_flow()
+        doc_ids = list(doc_ids)
+        results: List = [None] * len(doc_ids)
+        remaining = list(range(len(doc_ids)))
+        dead: set = set()
+        refusals = 0
+        while remaining:
+            groups: Dict[str, List[int]] = {}
+            for index in remaining:
+                owner = self._live_owner(doc_ids[index], dead)
+                groups.setdefault(owner, []).append(index)
+            outcomes = yield {
+                label: partial(batch, ids=[doc_ids[i] for i in indices])
+                for label, indices in groups.items()
+            }
+            answers, failures, refused = self._settle_all(outcomes)
+            for error in refused.values():
+                if not isinstance(error, WrongShardError):
+                    raise error  # an answer about the data, not the endpoint
+            for label, documents in answers.items():
+                for index, document in zip(groups[label], documents):
+                    results[index] = document
+            remaining = [index for index in remaining if results[index] is None]
+            if remaining and refused:
+                label, error = next(iter(refused.items()))
+                refusals += 1
+                refreshed = yield from self._refresh_flow(label)
+                if not self._retry_wrong_shard(refusals, refreshed):
+                    raise error
+            elif remaining:
+                if not failures:
+                    raise ProtocolError("cluster get_many made no progress")
+                dead.update(failures)
+                if len(dead) >= len(self.endpoints):
+                    raise next(iter(failures.values()))
+                with self._lock:
+                    self._failovers += len(remaining)
+        return results
 
-    def _one_attempt(
-        self, label: str, position: int, call: Callable[[RlzClient], object]
-    ):
-        """One failover attempt with breaker bookkeeping; archive errors
-        (answers about the data, not the endpoint) propagate."""
-        breaker = self._breakers[label]
+    def _doc_ids_flow(self) -> Flow:
+        """Store-order doc ids from the first endpoint that answers; cached."""
+        self._ensure_open()
+        yield from self._bootstrap_flow()
+        if self._doc_ids is None:
+            self._doc_ids = yield from self._failover_flow(
+                self.endpoints, methodcaller("doc_ids")
+            )
+        return list(self._doc_ids)
+
+    def _search_flow(
+        self, query: str, top_k: int, snippet_chars: int, deadline_ms: Optional[int]
+    ) -> Flow:
+        """``search``: the global-stats leg, then every shard ranks with
+        those statistics and the local top-k lists merge by
+        ``(-score, doc_id)``."""
+        self._ensure_open()
+        yield from self._bootstrap_flow()
+        global_stats = yield from self._global_stats_flow(query, deadline_ms)
+        per_shard = yield from self._all_flow(
+            lambda client: client.search(
+                query,
+                top_k=top_k,
+                snippet_chars=snippet_chars,
+                global_stats=global_stats,
+                deadline_ms=deadline_ms,
+            )
+        )
+        merged = [hit for hits in per_shard for hit in hits]
+        merged.sort(key=lambda hit: (-hit.score, hit.doc_id))
+        return merged[:top_k]
+
+    def _global_stats_flow(self, query: str, deadline_ms: Optional[int]) -> Flow:
+        """Global corpus statistics for ``query``, cached per shard-map epoch.
+
+        The sums change only when a newer map moves documents, so an
+        answer is reused until :meth:`_adopt` clears the cache; the LRU
+        bound keeps memory flat under many distinct queries.
+        """
+        with self._lock:
+            cached = self._stats_cache.get(query)
+            if cached is not None:
+                self._stats_cache.move_to_end(query)
+                self._stats_cache_hits += 1
+                return cached
+        per_shard = yield from self._all_flow(
+            lambda client: client.search_stats(query, deadline_ms=deadline_ms)
+        )
+        frequencies: Dict[str, int] = {}
+        for _, _, shard_df in per_shard:
+            for term, df in shard_df.items():
+                frequencies[term] = frequencies.get(term, 0) + df
+        global_stats = (
+            sum(shard[0] for shard in per_shard),
+            sum(shard[1] for shard in per_shard),
+            frequencies,
+        )
+        with self._lock:
+            self._stats_cache_misses += 1
+            self._stats_cache[query] = global_stats
+            self._stats_cache.move_to_end(query)
+            while len(self._stats_cache) > self._STATS_CACHE_CAP:
+                self._stats_cache.popitem(last=False)
+        return global_stats
+
+    def _stats_flow(self) -> Flow:
+        """``stats``: cluster counters plus every endpoint's snapshot."""
+        self._ensure_open()
+        outcomes = yield {label: methodcaller("stats") for label in self.endpoints}
+        answers, _, errors = self._settle_all(outcomes)
+        if errors:
+            raise next(iter(errors.values()))
+        snapshot: Dict[str, float] = {
+            "cluster_endpoints": len(self.endpoints),
+            "cluster_failovers": self._failovers,
+            "cluster_virtual_nodes": self._shard_map.virtual_nodes,
+            "cluster_hedges": self._hedges,
+            "cluster_hedge_wins": self._hedge_wins,
+            "cluster_retry_budget_spent": self._budget.spent,
+            "cluster_retry_budget_denied": self._budget.denied,
+            "cluster_epoch": self._shard_map.epoch,
+            "cluster_epoch_refreshes": self._epoch_refreshes,
+            "cluster_wrong_shard_retries": self._wrong_shard_retries,
+            "cluster_search_stats_cache_hits": self._stats_cache_hits,
+            "cluster_search_stats_cache_misses": self._stats_cache_misses,
+        }
+        for index, label in enumerate(outcomes):
+            breaker = self._breakers[label]
+            snapshot[f"shard{index}_breaker_open"] = int(breaker.state != "closed")
+            snapshot[f"shard{index}_breaker_trips"] = breaker.trips
+            snapshot[f"shard{index}_busy_hints"] = self._clients[label].busy_hints
+            snapshot[f"shard{index}_reachable"] = int(label in answers)
+            for key, value in answers.get(label, {}).items():
+                snapshot[f"shard{index}_{key}"] = value
+        return snapshot
+
+    def _ping_flow(self) -> Flow:
+        """``ping``: the round trip of the slowest reachable endpoint."""
+        self._ensure_open()
+        outcomes = yield {label: methodcaller("ping") for label in self.endpoints}
+        answers, _, errors = self._settle_all(outcomes)
+        if errors:
+            raise next(iter(errors.values()))
+        if not answers:
+            raise ConnectionError("no cluster endpoint is reachable")
+        return max(answers.values())
+
+
+class ClusterClient(ClusterPolicy):
+    """One :class:`~repro.api.ArchiveView` over N server endpoints.
+
+    Parameters
+    ----------
+    endpoints:
+        ``host:port`` strings (or ``(host, port)`` tuples) of the servers.
+        Every endpoint must be able to serve every document (replicas).
+    archive:
+        Archive name passed in each HELLO (multi-archive routers).
+    virtual_nodes:
+        Consistent-hash points per endpoint (see :class:`ShardMap`).
+    breaker_cooldown:
+        Seconds a tripped per-endpoint :class:`CircuitBreaker` stays open
+        (it trips after three consecutive connection failures).
+    pipeline_window:
+        In-flight request window per endpoint for ``get_many`` /
+        ``pipelined_get`` fan-out.
+    deadline_ms:
+        Default per-request deadline propagated to every shard client
+        (0 = none); per-call ``deadline_ms=`` arguments override it.
+    hedge_delay:
+        Seconds to wait for a primary shard before firing a backup
+        request at the next replica (0 = hedging off).  The first reply
+        wins; the loser is abandoned.  Set near the fleet's p99 so hedges
+        stay rare — hedging trades a little extra load for cutting the
+        latency tail of one slow shard.
+    retry_budget:
+        One token-bucket :class:`~repro.serve.retry.RetryBudget` shared
+        by *every* shard client, so total cluster retry volume during a
+        brownout is capped at the bucket's refill rate (``None`` creates
+        a default shared bucket).
+    client_options:
+        Extra keyword arguments for every underlying :class:`RlzClient`
+        (``timeout``, ``retries``, ``deadline_ms``, ...).
+    """
+
+    _client_class = RlzClient
+
+    def __init__(
+        self,
+        endpoints: Sequence[Union[str, Tuple[str, int]]],
+        archive: str = "",
+        virtual_nodes: int = 64,
+        breaker_cooldown: float = 1.0,
+        pipeline_window: int = 32,
+        deadline_ms: int = 0,
+        hedge_delay: float = 0.0,
+        retry_budget: Optional[RetryBudget] = None,
+        **client_options,
+    ) -> None:
+        if hedge_delay < 0:
+            raise ConfigurationError("hedge_delay must be non-negative")
+        self._breaker_cooldown = breaker_cooldown
+        super().__init__(
+            endpoints,
+            archive,
+            virtual_nodes,
+            deadline_ms,
+            retry_budget,
+            **client_options,
+        )
+        self._pipeline_window = pipeline_window
+        self._hedge_delay = hedge_delay
+
+    @property
+    def hedges(self) -> int:
+        """How many backup requests hedged ``get`` has fired."""
+        return self._hedges
+
+    @property
+    def hedge_wins(self) -> int:
+        """How many hedged ``get``\\ s the backup leg won."""
+        return self._hedge_wins
+
+    def _drive(self, flow: Flow) -> Any:
+        """Run a policy flow, answering each fan-out step in threads."""
         try:
-            result = call(self._clients[label])
-        except ServerBusyError as exc:
-            breaker.release_trial()
-            return _Failure(exc)
-        except _FAILOVER_ERRORS as exc:
-            breaker.record_failure()
-            return _Failure(exc)
-        except BaseException:
-            breaker.release_trial()
-            raise
-        breaker.record_success()
-        if position:
-            with self._lock:
-                self._failovers += 1
-        return _Success(result)
+            jobs = next(flow)
+            while True:
+                jobs = flow.send(self._fan_out(jobs))
+        except StopIteration as done:
+            return done.value
+
+    def _fan_out(self, jobs: Jobs) -> Dict[str, Any]:
+        """Every ``job(client)`` on its endpoint — in threads when there
+        is more than one — and each outcome under its label, in order."""
+        outcomes: Dict[str, Any] = dict.fromkeys(jobs)
+
+        def run(label: str) -> None:
+            try:
+                outcomes[label] = jobs[label](self._clients[label])
+            except BaseException as exc:  # handed to the flow, which re-raises
+                outcomes[label] = exc
+
+        if len(jobs) == 1:
+            run(next(iter(jobs)))
+            return outcomes
+        threads = [
+            threading.Thread(target=run, args=(label,), name=f"rlz-fanout-{label}")
+            for label in jobs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return outcomes
+
+    def refresh_shard_map(self, prefer: Optional[str] = None) -> bool:
+        """Pull the shard map from the fleet; adopt it if its epoch is newer.
+
+        Queries ``prefer`` first (the endpoint that just refused a request
+        has the freshest view), then the rest of the fleet, and stops at
+        the first answer that advances the epoch.  Returns whether a newer
+        map was adopted.  Unreachable endpoints are skipped — refreshing
+        must never be harder than the read it is trying to save.
+        """
+        return self._drive(self._refresh_flow(prefer))
 
     # ------------------------------------------------------------------
     # ArchiveView
@@ -655,97 +966,72 @@ class ClusterClient:
         first reply wins — one slow shard then costs roughly the hedge
         delay instead of the shard's full stall.
         """
-        self._maybe_bootstrap()
-        return self._retry_wrong_shard(lambda: self._get_once(doc_id, deadline_ms))
+        return self._drive(self._get_flow(doc_id, deadline_ms))
 
-    def _get_once(self, doc_id: int, deadline_ms: Optional[int]) -> bytes:
-        if self._hedge_delay > 0 and len(self.endpoints) > 1:
-            return self._hedged_get(doc_id, deadline_ms)
-        return self._with_failover(
-            doc_id, lambda client: client.get(doc_id, deadline_ms)
-        )
+    def _get_attempt(self, doc_id: int, deadline_ms: Optional[int]) -> Flow:
+        """One ``get``; hedged when ``hedge_delay`` is set.
 
-    def _hedged_get(self, doc_id: int, deadline_ms: Optional[int]) -> bytes:
-        """Primary + delayed-backup race; sequential failover as backstop.
-
-        Each leg runs in its own thread and reports into one queue; the
-        first successful reply wins.  The losing leg cannot be cancelled
-        mid-socket-read (synchronous sockets), so it is abandoned: its
-        thread finishes in the background and its result is discarded —
-        bounded by the leg client's own timeout/deadline.
+        A hedged get races the primary against a delayed backup leg, each
+        in its own thread reporting into one queue; the first successful
+        reply wins.  The losing leg cannot be cancelled mid-socket-read
+        (synchronous sockets), so it is abandoned: its thread finishes in
+        the background, bounded by the leg client's own timeout/deadline.
+        If both legs fail, the rest of the ring is walked sequentially.
         """
+        if self._hedge_delay <= 0 or len(self.endpoints) < 2:
+            return (yield from super()._get_attempt(doc_id, deadline_ms))
         candidates = self._candidates(doc_id)
-        replies: "queue.Queue[Tuple[str, object]]" = queue.Queue()
+        replies: "queue.Queue[Tuple[str, Any, Optional[bool]]]" = queue.Queue()
 
         def leg(label: str) -> None:
-            breaker = self._breakers[label]
             try:
                 result = self._clients[label].get(doc_id, deadline_ms)
-            except ServerBusyError as exc:
-                breaker.release_trial()
-                replies.put((label, _Failure(exc)))
-            except _FAILOVER_ERRORS as exc:
-                breaker.record_failure()
-                replies.put((label, _Failure(exc)))
-            except BaseException as exc:
-                breaker.release_trial()
-                replies.put((label, exc))
+            except BaseException as exc:  # reported to the racing caller
+                replies.put((label, exc, self._settle(label, exc)))
             else:
-                breaker.record_success()
-                replies.put((label, _Success(result)))
+                self._settle(label)
+                replies.put((label, result, None))
 
         def fire(label: str) -> None:
             threading.Thread(
                 target=leg, args=(label,), name=f"rlz-hedge-{label}", daemon=True
             ).start()
+            fired.append(label)
 
-        primary = candidates[0]
-        fire(primary)
-        fired = [primary]
-        hedged = False
-        last_error: Optional[BaseException] = None
+        fired: List[str] = []
+        fire(candidates[0])
+        error: Optional[BaseException] = None
         outstanding = 1
         while outstanding:
             try:
-                timeout = None if hedged else self._hedge_delay
-                label, outcome = replies.get(timeout=timeout)
+                label, outcome, failover = replies.get(
+                    timeout=self._hedge_delay if len(fired) == 1 else None
+                )
             except queue.Empty:
                 # The primary is slow: fire the backup leg.
-                hedged = True
                 with self._lock:
                     self._hedges += 1
-                backup = next(
-                    (c for c in candidates if c not in fired), None
-                )
-                if backup is None:  # pragma: no cover - len(endpoints) > 1
-                    continue
-                fire(backup)
-                fired.append(backup)
+                fire(candidates[1])
                 outstanding += 1
                 continue
             outstanding -= 1
-            if isinstance(outcome, _Success):
-                if label != primary:
+            if failover is None:
+                if label != candidates[0]:
                     with self._lock:
                         self._hedge_wins += 1
                         self._failovers += 1
-                return outcome.result
-            if isinstance(outcome, _Failure):
-                last_error = outcome.error
-                continue
-            raise outcome  # archive-level error: an answer, not a failure
-        # Both legs failed: walk the rest of the ring sequentially.
-        for position, label in enumerate(candidates):
-            if label in fired:
-                continue
-            outcome = self._one_attempt(
-                label, position, lambda client: client.get(doc_id, deadline_ms)
+                return outcome
+            if not failover:
+                raise outcome  # archive-level error: an answer, not a failure
+            error = outcome
+        return (
+            yield from self._failover_flow(
+                self._shard_map.route(doc_id),
+                lambda client: client.get(doc_id, deadline_ms),
+                skip=fired,
+                error=error,
             )
-            if not isinstance(outcome, _Failure):
-                return outcome.result
-            last_error = outcome.error
-        assert last_error is not None
-        raise last_error
+        )
 
     def get_many(
         self,
@@ -762,108 +1048,15 @@ class ClusterClient:
         their ring order, so one dead server degrades throughput, not
         results.
         """
-        self._ensure_open()
-        self._maybe_bootstrap()
-        pipeline_window = window if window is not None else self._pipeline_window
-        doc_ids = list(doc_ids)
-        if not doc_ids:
-            return []
-        results: List = [None] * len(doc_ids)
-        done = [False] * len(doc_ids)
-        remaining = list(range(len(doc_ids)))
-        #: Endpoints that failed *within this call*: re-routed around
-        #: immediately, independent of the breaker threshold (the breaker
-        #: shields future calls; the dead-set shields this one).
-        dead: set = set()
-        wrong_refreshes = 0
-        while remaining:
-            groups: Dict[str, List[int]] = {}
-            for index in remaining:
-                for label in self._candidates(doc_ids[index]):
-                    if label not in dead:
-                        groups.setdefault(label, []).append(index)
-                        break
-            if not groups:  # pragma: no cover - dead-set exhaustion raises below
-                raise ConnectionError("no cluster endpoint is reachable")
-            failures: Dict[str, BaseException] = {}
-            #: Endpoints that refused a doc id with R_WRONG_SHARD: the
-            #: endpoint is healthy and the *map* is stale, so these feed a
-            #: shard-map refresh, never the dead-set or the breaker.
-            wrong_shard: Dict[str, WrongShardError] = {}
-            hard_errors: List[BaseException] = []
-
-            def fetch(label: str, indices: List[int]) -> None:
-                client = self._clients[label]
-                breaker = self._breakers[label]
-                try:
-                    documents = client.pipelined_get(
-                        [doc_ids[index] for index in indices],
-                        window=pipeline_window,
-                        deadline_ms=deadline_ms,
-                    )
-                except ServerBusyError as exc:
-                    # The endpoint is alive but saturated: re-route this
-                    # batch to a replica without tripping the breaker.
-                    failures[label] = exc
-                    return
-                except WrongShardError as exc:
-                    breaker.record_success()
-                    wrong_shard[label] = exc
-                    return
-                except _FAILOVER_ERRORS as exc:
-                    breaker.record_failure()
-                    failures[label] = exc
-                    return
-                except BaseException as exc:
-                    # Archive/protocol errors are answers about the data,
-                    # not the endpoint: surface them to the caller.
-                    hard_errors.append(exc)
-                    return
-                breaker.record_success()
-                for index, document in zip(indices, documents):
-                    results[index] = document
-                    done[index] = True
-
-            if len(groups) == 1:
-                label, indices = next(iter(groups.items()))
-                fetch(label, indices)
-            else:
-                threads = [
-                    threading.Thread(
-                        target=fetch, args=(label, indices), name=f"rlz-fanout-{label}"
-                    )
-                    for label, indices in groups.items()
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-            if hard_errors:
-                raise hard_errors[0]
-            still = [index for index in remaining if not done[index]]
-            if still and wrong_shard:
-                # A stale map sent work to a shard that no longer owns it:
-                # adopt the fleet's newer map and re-group what's left.
-                wrong_refreshes += 1
-                exhausted = wrong_refreshes > max(2, len(self.endpoints))
-                if exhausted or not self._budget.spend():
-                    raise next(iter(wrong_shard.values()))
-                if not self.refresh_shard_map(prefer=next(iter(wrong_shard))):
-                    raise next(iter(wrong_shard.values()))
-                with self._lock:
-                    self._wrong_shard_retries += 1
-                remaining = still
-                continue
-            if still:
-                if not failures:
-                    raise ProtocolError("cluster get_many made no progress")
-                dead.update(failures)
-                if len(dead) >= len(self.endpoints):
-                    raise next(iter(failures.values()))
-                with self._lock:
-                    self._failovers += len(still)
-            remaining = still
-        return results
+        window = window if window is not None else self._pipeline_window
+        return self._drive(
+            self._get_many_flow(
+                doc_ids,
+                lambda client, ids: client.pipelined_get(
+                    ids, window=window, deadline_ms=deadline_ms
+                ),
+            )
+        )
 
     def pipelined_get(
         self,
@@ -880,125 +1073,63 @@ class ClusterClient:
 
         Each endpoint scans only the documents it owns (one chunked SCAN
         stream per shard, store-order within the shard), and the streams
-        merge back into exact store order.  A shard that dies mid-scan
-        has its remaining documents re-scanned from the next endpoint on
-        their ring order.
+        merge back into exact store order.  A shard that fails mid-scan
+        is left out for the rest of the call and everything not yet
+        yielded is re-planned, so its documents are re-scanned from the
+        next endpoint on their ring order.
 
         On a partitioned fleet a mid-scan rebalance surfaces as a
         ``R_WRONG_SHARD`` refusal: the scan then refreshes the shard map
         and re-plans the remaining documents against the new owners, so
         the stream stays in exact store order across the epoch bump.
         """
-        self._ensure_open()
-        self._maybe_bootstrap()
         order = self.doc_ids()
-        offset = 0
-        replans = 0
+        offset = refusals = 0
+        dead: set = set()
         while offset < len(order):
-            stream = self._iter_from(order[offset:])
+            owners: Dict[int, str] = {}
+            per_shard: Dict[str, List[int]] = {}
+            for doc_id in order[offset:]:
+                owners[doc_id] = owner = self._live_owner(doc_id, dead)
+                per_shard.setdefault(owner, []).append(doc_id)
+            streams = {
+                label: self._clients[label].scan(ids)
+                for label, ids in per_shard.items()
+            }
             try:
-                for doc_id, document in stream:
-                    yield doc_id, document
-                    offset += 1
-                return
-            except WrongShardError:
-                # The plan was drawn from a stale map: adopt the newer
-                # epoch and re-plan everything not yet yielded.
-                replans += 1
-                if replans > max(2, len(self.endpoints)):
-                    raise
-                if not self.refresh_shard_map():
-                    raise
-                with self._lock:
-                    self._wrong_shard_retries += 1
-            finally:
-                stream.close()
-
-    def _iter_from(self, order: List[int]) -> Iterator[Tuple[int, bytes]]:
-        """One scan-merge plan over ``order`` under the current shard map."""
-        owners = {doc_id: self._candidates(doc_id)[0] for doc_id in order}
-        per_shard: Dict[str, List[int]] = {}
-        for doc_id in order:
-            per_shard.setdefault(owners[doc_id], []).append(doc_id)
-        streams: Dict[str, Iterator[Tuple[int, bytes]]] = {
-            label: self._clients[label].scan(ids)
-            for label, ids in per_shard.items()
-        }
-        consumed: Dict[str, int] = {label: 0 for label in per_shard}
-        try:
-            for doc_id in order:
-                label = owners[doc_id]
-                while True:
+                for doc_id in order[offset:]:
+                    label = owners[doc_id]
                     try:
                         got_id, document = next(streams[label])
-                    except ServerBusyError:
-                        # Saturated, not dead: re-route the tail, breaker intact.
-                        label = self._rescan(
-                            per_shard, consumed, streams, owners, label, doc_id
-                        )
-                        continue
-                    except _FAILOVER_ERRORS:
-                        self._breakers[label].record_failure()
-                        label = self._rescan(
-                            per_shard, consumed, streams, owners, label, doc_id
-                        )
-                        continue
                     except StopIteration:
                         raise ProtocolError(
                             f"shard {label} ended its scan early (at doc {doc_id})"
                         ) from None
-                    consumed[label] += 1
+                    except BaseException as exc:
+                        # A failed shard is left out and the rest re-planned.
+                        dead.add(label)
+                        if not self._settle(label, exc) or dead >= set(self.endpoints):
+                            raise
+                        with self._lock:
+                            self._failovers += 1
+                        break
                     if got_id != doc_id:
                         raise ProtocolError(
                             f"scan order broke: expected doc {doc_id}, got {got_id}"
                         )
                     yield doc_id, document
-                    break
-        finally:
-            for stream in streams.values():
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-
-    def _rescan(
-        self,
-        per_shard: Dict[str, List[int]],
-        consumed: Dict[str, int],
-        streams: Dict[str, Iterator[Tuple[int, bytes]]],
-        owners: Dict[int, str],
-        dead_label: str,
-        from_doc: int,
-    ) -> str:
-        """Re-route a dead shard's unserved scan tail to a live endpoint."""
-        tail = per_shard[dead_label][consumed[dead_label] :]
-        assert tail and tail[0] == from_doc
-        # A merged label chains every endpoint that already failed for
-        # this tail ("E3#E2#E1"): never route back to one of those.
-        exhausted = set(dead_label.split("#"))
-        replacement = None
-        for label in self._candidates(from_doc):
-            if label not in exhausted:
-                replacement = label
-                break
-        if replacement is None:
-            raise ConnectionError(
-                f"shard {dead_label} died mid-scan and no replica is available"
-            )
-        with self._lock:
-            self._failovers += 1
-        # The replacement endpoint scans the tail as its own fresh stream;
-        # its previously-assigned documents are unaffected (separate
-        # stream bookkeeping under a merged label).
-        merged_label = f"{replacement}#{dead_label}"
-        per_shard[merged_label] = tail
-        consumed[merged_label] = 0
-        streams[merged_label] = self._clients[replacement].scan(tail)
-        for doc_id in tail:
-            owners[doc_id] = merged_label
-        # Breaker bookkeeping for the merged label routes to the live
-        # endpoint's breaker.
-        self._breakers.setdefault(merged_label, self._breakers[replacement])
-        return merged_label
+                    offset += 1
+                else:
+                    return
+            except WrongShardError:
+                # The plan was drawn from a stale map: adopt the newer
+                # epoch and re-plan everything not yet yielded.
+                refusals += 1
+                if not self._retry_wrong_shard(refusals, self.refresh_shard_map()):
+                    raise
+            finally:
+                for stream in streams.values():
+                    stream.close()
 
     def doc_ids(self) -> List[int]:
         """Store-order doc ids (from the first healthy endpoint; cached).
@@ -1008,29 +1139,7 @@ class ClusterClient:
         invariant across rebalances), so one endpoint's answer is the
         whole fleet's answer in both deployments.
         """
-        self._ensure_open()
-        self._maybe_bootstrap()
-        if self._doc_ids is None:
-            last_error: Optional[BaseException] = None
-            candidates = [
-                label
-                for label in self.endpoints
-                if self._breakers[label].allow()
-            ] or self.endpoints
-            for label in candidates:
-                breaker = self._breakers[label]
-                try:
-                    self._doc_ids = self._clients[label].doc_ids()
-                except _FAILOVER_ERRORS as exc:
-                    breaker.record_failure()
-                    last_error = exc
-                    continue
-                breaker.record_success()
-                break
-            if self._doc_ids is None:
-                assert last_error is not None
-                raise last_error
-        return list(self._doc_ids)
+        return self._drive(self._doc_ids_flow())
 
     def __len__(self) -> int:
         return len(self.doc_ids())
@@ -1042,39 +1151,8 @@ class ClusterClient:
         down contribute ``shard<i>_reachable = 0`` instead of failing the
         whole snapshot.
         """
-        self._ensure_open()
-        snapshot: Dict[str, float] = {
-            "cluster_endpoints": len(self.endpoints),
-            "cluster_failovers": self._failovers,
-            "cluster_virtual_nodes": self._shard_map.virtual_nodes,
-            "cluster_hedges": self._hedges,
-            "cluster_hedge_wins": self._hedge_wins,
-            "cluster_retry_budget_spent": self._budget.spent,
-            "cluster_retry_budget_denied": self._budget.denied,
-            "cluster_epoch": self._shard_map.epoch,
-            "cluster_epoch_refreshes": self._epoch_refreshes,
-            "cluster_wrong_shard_retries": self._wrong_shard_retries,
-            "cluster_search_stats_cache_hits": self._stats_cache_hits,
-            "cluster_search_stats_cache_misses": self._stats_cache_misses,
-        }
-        for index, label in enumerate(self.endpoints):
-            breaker = self._breakers[label]
-            snapshot[f"shard{index}_breaker_open"] = int(breaker.state != "closed")
-            snapshot[f"shard{index}_breaker_trips"] = breaker.trips
-            snapshot[f"shard{index}_busy_hints"] = self._clients[label].busy_hints
-            try:
-                shard_stats = self._clients[label].stats()
-            except _FAILOVER_ERRORS:
-                snapshot[f"shard{index}_reachable"] = 0
-                continue
-            snapshot[f"shard{index}_reachable"] = 1
-            for key, value in shard_stats.items():
-                snapshot[f"shard{index}_{key}"] = value
-        return snapshot
+        return self._drive(self._stats_flow())
 
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
     def search(
         self,
         query: str,
@@ -1098,130 +1176,15 @@ class ClusterClient:
         no other shard can produce, so a shard that cannot answer fails
         the query rather than silently dropping its documents.
         """
-        self._ensure_open()
-        self._maybe_bootstrap()
-        global_stats = self._global_search_stats(query, deadline_ms)
-        per_shard = self._search_all(
-            lambda client: client.search(
-                query,
-                top_k=top_k,
-                snippet_chars=snippet_chars,
-                global_stats=global_stats,
-                deadline_ms=deadline_ms,
-            )
-        )
-        merged = [hit for hits in per_shard.values() for hit in hits]
-        merged.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        return merged[:top_k]
-
-    #: Distinct queries whose global statistics are kept per epoch.
-    _STATS_CACHE_CAP = 256
-
-    def _global_search_stats(
-        self, query: str, deadline_ms: Optional[int]
-    ) -> Tuple[int, int, Dict[str, int]]:
-        """Global corpus statistics for ``query``, cached per shard-map epoch.
-
-        The stats leg of the search fan-out asks every shard for its
-        document count, total length and per-term document frequencies.
-        Those sums depend only on what each shard stores, which changes
-        placement only when a newer shard map is adopted — so the answer
-        for a query is reused until :meth:`_adopt` installs a new epoch
-        and clears the cache.  A bounded LRU keeps memory flat under many
-        distinct queries; repeated queries (the common interactive case)
-        pay one fan-out per epoch instead of one per call.
-        """
-        with self._lock:
-            cached = self._stats_cache.get(query)
-            if cached is not None:
-                self._stats_cache.move_to_end(query)
-                self._stats_cache_hits += 1
-                return cached
-        stats = self._search_all(
-            lambda client: client.search_stats(query, deadline_ms=deadline_ms)
-        )
-        num_documents = sum(shard[0] for shard in stats.values())
-        total_length = sum(shard[1] for shard in stats.values())
-        frequencies: Dict[str, int] = {}
-        for _, _, shard_df in stats.values():
-            for term, df in shard_df.items():
-                frequencies[term] = frequencies.get(term, 0) + df
-        global_stats = (num_documents, total_length, frequencies)
-        with self._lock:
-            self._stats_cache_misses += 1
-            self._stats_cache[query] = global_stats
-            self._stats_cache.move_to_end(query)
-            while len(self._stats_cache) > self._STATS_CACHE_CAP:
-                self._stats_cache.popitem(last=False)
-        return global_stats
-
-    def _search_all(self, call: Callable[[RlzClient], object]) -> Dict[str, object]:
-        """Run ``call`` on every endpoint concurrently; all must answer.
-
-        Breakers record connection outcomes as usual, but open breakers
-        are not skipped — correctness needs every shard, so the request
-        is the probe.  The first failure (in endpoint order, archive
-        errors preferred over connection errors as the more specific
-        diagnosis) propagates to the caller.
-        """
-        labels = self.endpoints
-        results: Dict[str, object] = {}
-        connection_errors: Dict[str, BaseException] = {}
-        archive_errors: Dict[str, BaseException] = {}
-
-        def run(label: str) -> None:
-            breaker = self._breakers[label]
-            try:
-                results[label] = call(self._clients[label])
-            except _FAILOVER_ERRORS as exc:
-                breaker.record_failure()
-                connection_errors[label] = exc
-            except BaseException as exc:
-                archive_errors[label] = exc
-            else:
-                breaker.record_success()
-
-        if len(labels) == 1:
-            run(labels[0])
-        else:
-            threads = [
-                threading.Thread(
-                    target=run, args=(label,), name=f"rlz-search-{label}"
-                )
-                for label in labels
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        for label in labels:
-            if label in archive_errors:
-                raise archive_errors[label]
-        for label in labels:
-            if label in connection_errors:
-                raise connection_errors[label]
-        return results
+        return self._drive(self._search_flow(query, top_k, snippet_chars, deadline_ms))
 
     def ping(self) -> float:
         """Round-trip time to the slowest reachable endpoint."""
-        self._ensure_open()
-        times = []
-        for label in self.endpoints:
-            try:
-                times.append(self._clients[label].ping())
-            except _FAILOVER_ERRORS:
-                continue
-        if not times:
-            raise ConnectionError("no cluster endpoint is reachable")
-        return max(times)
+        return self._drive(self._ping_flow())
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Close every per-endpoint client (idempotent)."""
         self._closed = True
@@ -1233,3 +1196,136 @@ class ClusterClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class AsyncClusterClient(ClusterPolicy):
+    """One async :class:`~repro.api.ArchiveView` over N server endpoints.
+
+    The asyncio driver of the same policy as :class:`ClusterClient`; the
+    concurrency rides each shard's *one* multiplexed connection.  Labels
+    are ``host:port`` for replica fleets (every endpoint serves everything)
+    or ``ringid@host:port`` for partitioned fleets (the ring id is what
+    placement hashes; the transport can move without remapping).
+    """
+
+    _client_class = AsyncRlzClient
+
+    async def _drive(self, flow: Flow) -> Any:
+        """Run a policy flow, answering each fan-out step on the loop."""
+        try:
+            jobs = next(flow)
+            while True:
+                jobs = flow.send(await self._fan_out(jobs))
+        except StopIteration as done:
+            return done.value
+
+    async def _fan_out(self, jobs: Jobs) -> Dict[str, Any]:
+        """Every ``job(client)`` concurrently; each outcome (result or
+        exception) under its label, in job order."""
+        if len(jobs) == 1:
+            # The common single-endpoint step: no task per job.
+            ((label, job),) = jobs.items()
+            try:
+                return {label: await job(self._clients[label])}
+            except BaseException as exc:  # handed to the flow, which re-raises
+                return {label: exc}
+        outcomes = await asyncio.gather(
+            *(job(self._clients[label]) for label, job in jobs.items()),
+            return_exceptions=True,
+        )
+        return dict(zip(jobs, outcomes))
+
+    async def refresh_shard_map(self, prefer: Optional[str] = None) -> bool:
+        """Pull the shard map from the fleet; adopt it if its epoch is newer."""
+        return await self._drive(self._refresh_flow(prefer))
+
+    # ------------------------------------------------------------------
+    # AsyncArchiveView
+    # ------------------------------------------------------------------
+    async def get(self, doc_id: int, deadline_ms: Optional[int] = None) -> bytes:
+        """One decoded document from the shard that owns it."""
+        return await self._drive(self._get_flow(doc_id, deadline_ms))
+
+    async def get_many(
+        self, doc_ids: Sequence[int], deadline_ms: Optional[int] = None
+    ) -> List[bytes]:
+        """Batch retrieval fanned out per shard, request order preserved.
+
+        Each endpoint gets one batched ``GET_MANY`` of the documents it
+        owns; a shard that fails has its documents re-routed down their
+        ring order, exactly as :meth:`ClusterClient.get_many` does.
+        """
+        return await self._drive(
+            self._get_many_flow(
+                doc_ids,
+                lambda client, ids: client.get_many(ids, deadline_ms=deadline_ms),
+            )
+        )
+
+    async def gather(self, doc_ids: Sequence[int]) -> List[bytes]:
+        """Fan per-document requests out concurrently across the fleet."""
+        return list(
+            await asyncio.gather(*(self.get(doc_id) for doc_id in doc_ids))
+        )
+
+    async def iter_documents(self, batch_docs: int = 64):
+        """Async-iterate every document in exact global store order.
+
+        Implemented as batched :meth:`get_many` over the fleet's doc
+        order, so the stream survives failovers *and* mid-iteration
+        rebalances (each batch re-routes against the current map).
+        """
+        order = await self.doc_ids()
+        for start in range(0, len(order), batch_docs):
+            batch = order[start : start + batch_docs]
+            documents = await self.get_many(batch)
+            for doc_id, document in zip(batch, documents):
+                yield doc_id, document
+
+    async def doc_ids(self) -> List[int]:
+        """Global store-order doc ids (from any endpoint; cached)."""
+        return await self._drive(self._doc_ids_flow())
+
+    async def stats(self) -> Dict[str, float]:
+        """Cluster counters plus every reachable endpoint's snapshot."""
+        return await self._drive(self._stats_flow())
+
+    async def search(
+        self,
+        query: str,
+        top_k: int = 10,
+        snippet_chars: int = 0,
+        deadline_ms: Optional[int] = None,
+    ) -> List[SearchHit]:
+        """Exact global BM25 top-k across every shard.
+
+        The coroutine mirror of :meth:`ClusterClient.search`: one
+        ``asyncio.gather`` collects per-shard corpus statistics (cached
+        per query and epoch), their sums become the global idf inputs, a
+        second gather ranks every shard with them, and the merged
+        ``(-score, doc_id)`` order reproduces a single-index run exactly.
+        No failover — a shard that cannot answer fails the query (its
+        documents exist nowhere else).
+        """
+        return await self._drive(
+            self._search_flow(query, top_k, snippet_chars, deadline_ms)
+        )
+
+    async def ping(self) -> float:
+        """Round-trip time to the slowest reachable endpoint."""
+        return await self._drive(self._ping_flow())
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def close(self) -> None:
+        """Close every per-endpoint client (idempotent)."""
+        self._closed = True
+        for client in self._clients.values():
+            await client.close()
+
+    async def __aenter__(self) -> "AsyncClusterClient":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()

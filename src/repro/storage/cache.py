@@ -122,9 +122,8 @@ class CacheTier(Protocol):
 class NullCache:
     """The no-op tier: never stores, never hits, never counts.
 
-    Matches the pre-facade behaviour of ``decode_cache_size=0``, where the
-    store skipped the cache entirely (misses were *not* counted), so the
-    paper-faithful benchmark numbers are untouched by the refactor.
+    The store's default: it skips the cache entirely (misses are *not*
+    counted), so the paper-faithful benchmark numbers time every decode.
     """
 
     def get(self, doc_id: int) -> Optional[bytes]:

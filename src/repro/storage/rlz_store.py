@@ -18,14 +18,12 @@ Decoded-document caching is delegated to a pluggable
 :class:`repro.storage.CacheTier` (``cache=``): :class:`NullCache` (default,
 every get decodes — the paper-faithful measurement mode),
 :class:`LruCache` (in-process) or :class:`SharedMemoryCache`
-(cross-process).  The legacy ``decode_cache_size=N`` knob still works as a
-deprecated shim that builds the equivalent ``LruCache``.
+(cross-process).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,7 +35,7 @@ from ..core.decoder import decode_pairs  # noqa: F401
 from ..core.dictionary import RlzDictionary
 from ..core.encoder import PairEncoder
 from ..errors import StorageError, StoreClosedError
-from .cache import CacheTier, LruCache, NullCache
+from .cache import CacheTier, NullCache
 from .container import ContainerHeader, read_container_header, write_container
 from .disk_model import DiskModel
 from .document_map import DocumentEntry, DocumentMap
@@ -54,7 +52,6 @@ class RlzStore:
         self,
         header: ContainerHeader,
         disk: Optional[DiskModel] = None,
-        decode_cache_size: Optional[int] = None,
         cache: Optional[CacheTier] = None,
     ) -> None:
         if header.store_type != self.store_type:
@@ -66,7 +63,7 @@ class RlzStore:
         self._scheme_name = header.metadata["scheme"]
         self._encoder = PairEncoder(self._scheme_name)
         self._disk = disk if disk is not None else DiskModel()
-        self._cache = self._resolve_cache(cache, decode_cache_size)
+        self._cache = cache if cache is not None else NullCache()
         self._handle = header.path.open("rb")
         self._closed = False
         # Bytes actually materialised by factor decoding (cache hits are
@@ -76,32 +73,6 @@ class RlzStore:
         # get()/get_many() may be driven concurrently by the async front's
         # thread pool; the shared file handle's seek+read must be atomic.
         self._io_lock = threading.Lock()
-
-    @staticmethod
-    def _resolve_cache(
-        cache: Optional[CacheTier], decode_cache_size: Optional[int]
-    ) -> CacheTier:
-        if cache is not None:
-            if decode_cache_size is not None:
-                raise StorageError(
-                    "pass either cache= (a CacheTier) or the legacy "
-                    "decode_cache_size=, not both"
-                )
-            return cache
-        if decode_cache_size is None:
-            return NullCache()
-        warnings.warn(
-            "decode_cache_size= is deprecated; pass cache=LruCache(n) or open "
-            "the archive through repro.api.RlzArchive with "
-            "ArchiveConfig(cache=CacheSpec(tier='lru', capacity=n))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if decode_cache_size < 0:
-            raise StorageError("decode_cache_size must be >= 0")
-        if decode_cache_size == 0:
-            return NullCache()
-        return LruCache(decode_cache_size)
 
     # ------------------------------------------------------------------
     # Construction
@@ -157,22 +128,15 @@ class RlzStore:
         cls,
         path: str | Path,
         disk: Optional[DiskModel] = None,
-        decode_cache_size: Optional[int] = None,
         cache: Optional[CacheTier] = None,
     ) -> "RlzStore":
         """Open an existing RLZ container for reading.
 
         ``cache`` plugs in a decode-cache tier (see
         :mod:`repro.storage.cache`); repeated-access serving workloads hit
-        it instead of re-reading and re-decoding.  ``decode_cache_size=N``
-        is the deprecated spelling of ``cache=LruCache(N)``.
+        it instead of re-reading and re-decoding.
         """
-        return cls(
-            read_container_header(Path(path)),
-            disk=disk,
-            decode_cache_size=decode_cache_size,
-            cache=cache,
-        )
+        return cls(read_container_header(Path(path)), disk=disk, cache=cache)
 
     # ------------------------------------------------------------------
     # Properties

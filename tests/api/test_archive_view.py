@@ -91,13 +91,14 @@ class _AsyncViewBridge:
     surface with their real types, exactly as the sync views raise them.
     """
 
-    def __init__(self, endpoints):
+    def __init__(self, endpoints, **options):
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="async-view-bridge", daemon=True
         )
         self._thread.start()
-        self._client = AsyncClusterClient(endpoints, retries=0, retry_delay=0.01)
+        options = {"retries": 0, "retry_delay": 0.01, **options}
+        self._client = AsyncClusterClient(endpoints, **options)
         self._stopped = False
 
     def _run(self, coroutine):

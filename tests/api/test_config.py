@@ -137,6 +137,11 @@ def test_from_dict_rejects_unknown_sections_and_fields():
         ArchiveConfig.from_dict({"caching": {}})
     with pytest.raises(ConfigurationError):
         ArchiveConfig.from_dict({"encoding": {"schema": "ZZ"}})
+    # The removed ServeSpec.deadline / ServeSpec.retry sections fail loudly.
+    with pytest.raises(ConfigurationError):
+        ArchiveConfig.from_dict({"serve": {"deadline": {"default_ms": 100}}})
+    with pytest.raises(ConfigurationError):
+        ArchiveConfig.from_dict({"serve": {"retry": {"busy_retries": 4}}})
 
 
 def test_from_dict_accepts_partial_and_spec_instances():

@@ -3,18 +3,63 @@
 The contract under test: a :class:`ClusterClient` over N replicas is
 byte-for-byte indistinguishable from one archive — including while a
 shard is dying mid-run — and the consistent-hash routing only remaps the
-documents a removed endpoint owned.
+documents a removed endpoint owned.  The live-replica tests run under
+both drivers of the one cluster policy (``ClusterClient`` and
+``AsyncClusterClient``).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, StorageError, StoreClosedError
+from repro.errors import (
+    ConfigurationError,
+    ServerBusyError,
+    StorageError,
+    StoreClosedError,
+)
 from repro.serve import BackgroundServer, CircuitBreaker, ClusterClient, ShardMap
+
+
+def _load_async_view_bridge():
+    """The thread bridge the ArchiveView battery drives the async cluster
+    client through (``tests/api/test_archive_view.py``)."""
+    path = Path(__file__).parents[1] / "api" / "test_archive_view.py"
+    spec = importlib.util.spec_from_file_location("_archive_view_battery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._AsyncViewBridge
+
+
+_AsyncViewBridge = _load_async_view_bridge()
+
+
+@pytest.fixture(params=["sync", "async"])
+def driver(request):
+    """``make(endpoints, **options) -> (view, policy)`` for one cluster
+    driver: :class:`ClusterClient`, or :class:`AsyncClusterClient` behind
+    the battery's bridge.  ``policy`` is the client object itself, for
+    introspection (failovers, breakers, endpoint clients)."""
+    made = []
+
+    def make(endpoints, **options):
+        if request.param == "sync":
+            view = ClusterClient(endpoints, **options)
+            policy = view
+        else:
+            view = _AsyncViewBridge(endpoints, **options)
+            policy = view._client
+        made.append(view)
+        return view, policy
+
+    yield make
+    for view in made:
+        view.close()
 
 
 @pytest.fixture(scope="module")
@@ -204,19 +249,19 @@ def test_breaker_half_open_admits_exactly_one_trial_under_contention():
 # ----------------------------------------------------------------------
 # ClusterClient against live replicas
 # ----------------------------------------------------------------------
-def test_cluster_get_and_get_many_preserve_order_across_shards(cluster):
+def test_cluster_get_and_get_many_preserve_order_across_shards(cluster, driver):
     endpoints, collection, _ = cluster
     expected = {d.doc_id: d.content for d in collection}
     ids = sorted(expected)
-    with ClusterClient(endpoints, retries=1, retry_delay=0.01) as client:
-        # Both shards own some documents (otherwise the test is vacuous).
-        owners = {client.shard_map.primary(doc_id) for doc_id in ids}
-        assert owners == set(endpoints)
-        for doc_id in ids[:5]:
-            assert client.get(doc_id) == expected[doc_id]
-        request = list(reversed(ids)) + ids[:4] + [ids[0]] * 3
-        assert client.get_many(request) == [expected[i] for i in request]
-        assert client.get_many([]) == []
+    client, policy = driver(endpoints, retries=1, retry_delay=0.01)
+    # Both shards own some documents (otherwise the test is vacuous).
+    owners = {policy.shard_map.primary(doc_id) for doc_id in ids}
+    assert owners == set(endpoints)
+    for doc_id in ids[:5]:
+        assert client.get(doc_id) == expected[doc_id]
+    request = list(reversed(ids)) + ids[:4] + [ids[0]] * 3
+    assert client.get_many(request) == [expected[i] for i in request]
+    assert client.get_many([]) == []
 
 
 def test_cluster_iter_documents_merges_to_store_order(cluster):
@@ -227,15 +272,15 @@ def test_cluster_iter_documents_merges_to_store_order(cluster):
         assert dict(items) == {d.doc_id: d.content for d in collection}
 
 
-def test_cluster_archive_errors_pass_through_not_failover(cluster):
+def test_cluster_archive_errors_pass_through_not_failover(cluster, driver):
     endpoints, collection, _ = cluster
-    with ClusterClient(endpoints, retries=1, retry_delay=0.01) as client:
-        missing = max(d.doc_id for d in collection) + 31337
-        with pytest.raises(StorageError):
-            client.get(missing)
-        with pytest.raises(StorageError):
-            client.get_many([next(iter(collection)).doc_id, missing])
-        assert client.failovers == 0  # an answer, not a failure
+    client, policy = driver(endpoints, retries=1, retry_delay=0.01)
+    missing = max(d.doc_id for d in collection) + 31337
+    with pytest.raises(StorageError):
+        client.get(missing)
+    with pytest.raises(StorageError):
+        client.get_many([next(iter(collection)).doc_id, missing])
+    assert policy.failovers == 0  # an answer, not a failure
 
 
 def test_cluster_stats_flat_and_numeric(cluster):
@@ -361,12 +406,12 @@ def test_failover_mid_scan_is_byte_identical(served_archive):
             pass
 
 
-def test_all_shards_down_raises_the_connection_error(served_archive):
+def test_all_shards_down_raises_the_connection_error(served_archive, driver):
     path, config, collection = served_archive
     server = BackgroundServer(path, config)
     host, port = server.start()
     endpoint = f"{host}:{port}"
-    client = ClusterClient([endpoint], retries=0, retry_delay=0.01)
+    client, _ = driver([endpoint], retries=0, retry_delay=0.01)
     doc_id = next(iter(collection)).doc_id
     assert client.get(doc_id)
     server.stop()
@@ -374,50 +419,49 @@ def test_all_shards_down_raises_the_connection_error(served_archive):
         client.get(doc_id)
     with pytest.raises((ConnectionError, OSError)):
         client.get_many([doc_id])
-    client.close()
 
 
 # ----------------------------------------------------------------------
 # Review regressions: busy re-route, breaker purity, window scoping
 # ----------------------------------------------------------------------
-def test_sustained_busy_reroutes_without_tripping_the_breaker(cluster):
+def test_sustained_busy_reroutes_without_tripping_the_breaker(cluster, driver):
     """A shard answering R_BUSY past the retry budget is saturated, not
     dead: get_many must re-route its batch to the replica and leave the
-    breaker closed so the shard returns to rotation immediately."""
-    from repro.errors import ServerBusyError
-
+    breaker closed so the shard returns to rotation immediately — under
+    both drivers."""
     endpoints, collection, _ = cluster
     expected = {d.doc_id: d.content for d in collection}
     ids = sorted(expected)
-    with ClusterClient(endpoints, retries=1, retry_delay=0.01) as client:
-        saturated = endpoints[0]
-        real = client._clients[saturated].pipelined_get
+    client, policy = driver(endpoints, retries=1, retry_delay=0.01)
+    saturated = endpoints[0]
+    shard = policy._clients[saturated]
 
-        def always_busy(doc_ids, window=32, deadline_ms=None):
-            raise ServerBusyError("server still busy after 8 retries")
+    def always_busy(*args, **kwargs):
+        raise ServerBusyError("server still busy after 8 retries")
 
-        client._clients[saturated].pipelined_get = always_busy
-        try:
-            request = list(reversed(ids)) + ids[:3]
+    async def always_busy_async(*args, **kwargs):
+        always_busy()
+
+    if isinstance(policy, ClusterClient):
+        busy, batch_call = always_busy, "pipelined_get"  # the sync batch path
+    else:
+        busy, batch_call = always_busy_async, "get_many"
+    setattr(shard, batch_call, busy)
+    try:
+        request = list(reversed(ids)) + ids[:3]
+        for _ in range(3):  # as many busy batches as it takes to trip
             assert client.get_many(request) == [expected[i] for i in request]
-            assert client.failovers > 0
-            assert client.breaker(saturated).state == "closed"  # not tripped
-        finally:
-            client._clients[saturated].pipelined_get = real
+        assert policy.failovers > 0
+        assert policy.breaker(saturated).state == "closed"  # not tripped
         # get() path: the saturated primary is skipped the same way.
-        owned = [d for d in ids if client.shard_map.primary(d) == saturated]
-        if owned:
-            real_get = client._clients[saturated].get
-            client._clients[saturated].get = (
-                lambda doc_id, deadline_ms=None: (_ for _ in ()).throw(
-                    ServerBusyError("busy")
-                )
-            )
-            try:
-                assert client.get(owned[0]) == expected[owned[0]]
-                assert client.breaker(saturated).state == "closed"
-            finally:
-                client._clients[saturated].get = real_get
+        owned = [d for d in ids if policy.shard_map.primary(d) == saturated]
+        assert owned, "the saturated shard owned nothing"
+        shard.get = busy
+        assert client.get(owned[0]) == expected[owned[0]]
+        assert policy.breaker(saturated).state == "closed"
+    finally:
+        shard.__dict__.pop(batch_call, None)
+        shard.__dict__.pop("get", None)
 
 
 def test_breaker_filtering_does_not_consume_the_half_open_trial(cluster):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import socket
+import sys
 import threading
 import uuid
 
@@ -113,6 +114,43 @@ def test_concurrent_clients_under_tight_backpressure(served_archive):
     assert stats["server_inflight_capacity"] == 2
 
 
+def test_one_client_shared_by_many_threads(served_archive):
+    """Threads sharing one RlzClient share its connection pool and its
+    request-id counter: every reply must still reach the request that
+    asked for it, and the idle pool stays at its fixed size."""
+    path, config, collection = served_archive
+    contents = {d.doc_id: d.content for d in collection}
+    ids = sorted(contents)
+    failures = []
+
+    with BackgroundServer(path, config) as server, RlzClient(*server.address) as client:
+
+        def session(offset):
+            try:
+                for doc_id in ids[offset:] + ids[:offset]:
+                    assert client.get(doc_id) == contents[doc_id]
+                batch = (ids * 2)[offset : offset + 6]
+                assert client.pipelined_get(batch, window=4) == [
+                    contents[doc_id] for doc_id in batch
+                ]
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=session, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(client._pool) <= 2
+
+
 def test_client_reconnects_after_server_restart(served_archive):
     """A pooled connection killed by a server restart is retried on a
     fresh dial — the caller never sees the blip."""
@@ -185,15 +223,13 @@ def test_async_client_matches_async_archive_surface(served_archive):
 
 
 def test_client_option_validation():
-    with pytest.raises(ProtocolError):
-        RlzClient("127.0.0.1", 1, pool_size=0)
-    with pytest.raises(ProtocolError):
-        RlzClient("127.0.0.1", 1, retries=-1)
-    with pytest.raises(ProtocolError):
-        AsyncRlzClient("127.0.0.1", 1, retries=-1)
-    # The async client multiplexes one connection: it has no pool to size.
-    with pytest.raises(TypeError):
-        AsyncRlzClient("127.0.0.1", 1, pool_size=2)
+    for client_class in (RlzClient, AsyncRlzClient):
+        with pytest.raises(ProtocolError):
+            client_class("127.0.0.1", 1, retries=-1)
+        # Neither client has a pool to size: the async client multiplexes
+        # one connection and the sync client's idle pool is a constant.
+        with pytest.raises(TypeError):
+            client_class("127.0.0.1", 1, pool_size=2)
 
 
 def test_connection_refused_raises_after_retries():

@@ -391,3 +391,32 @@ def test_async_client_rejects_an_old_server(wire, hello_reply):
     asyncio.run(main())
     assert fake.client_closed.wait(timeout=10)
     fake.join()
+
+
+def test_connection_level_error_reaches_the_waiting_request(wire):
+    """An ``R_ERROR`` under the reserved request id 0 is the server's
+    complaint about the connection: the request waiting on it raises that
+    typed error under both drivers (the async reader hands the frame to
+    every waiter's classifier)."""
+    error = protocol.pack_error_for(ProtocolError("frame too large"))
+    script = protocol.encode_reply(Opcode.R_ERROR, 0, error)
+
+    fake = _FakeServer(wire, script)
+    client = RlzClient("127.0.0.1", fake.port, retries=0, timeout=10)
+    with pytest.raises(ProtocolError, match="frame too large"):
+        client.get(0)
+    client.close()
+    fake.join()
+
+    fake = _FakeServer(wire, script)
+
+    async def main():
+        client = AsyncRlzClient("127.0.0.1", fake.port, retries=0, timeout=10)
+        try:
+            with pytest.raises(ProtocolError, match="frame too large"):
+                await asyncio.wait_for(client.get(0), 10)
+        finally:
+            await client.close()
+
+    asyncio.run(main())
+    fake.join()

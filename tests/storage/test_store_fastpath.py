@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.storage import RlzStore
+from repro.storage import LruCache, NullCache, RlzStore
+
+
+def _lru(capacity):
+    """The decode-cache tier holding ``capacity`` documents (0 = none)."""
+    return LruCache(capacity) if capacity else NullCache()
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +39,7 @@ def test_get_many_handles_repeats_and_order(store_path, gov_small):
 
 def test_cache_serves_repeated_access_without_disk_reads(store_path, gov_small):
     doc_id = gov_small.doc_ids()[0]
-    with RlzStore.open(store_path, decode_cache_size=4) as store:
+    with RlzStore.open(store_path, cache=_lru(4)) as store:
         first = store.get(doc_id)
         store.disk.reset()
         second = store.get(doc_id)
@@ -46,7 +51,7 @@ def test_cache_serves_repeated_access_without_disk_reads(store_path, gov_small):
 
 def test_cache_evicts_least_recently_used(store_path, gov_small):
     doc_ids = gov_small.doc_ids()[:3]
-    with RlzStore.open(store_path, decode_cache_size=2) as store:
+    with RlzStore.open(store_path, cache=_lru(2)) as store:
         store.get(doc_ids[0])
         store.get(doc_ids[1])
         store.get(doc_ids[0])  # refresh doc 0
@@ -70,7 +75,7 @@ def test_cache_disabled_by_default(store_path, gov_small):
 
 def test_get_many_uses_cache(store_path, gov_small):
     doc_ids = gov_small.doc_ids()[:4]
-    with RlzStore.open(store_path, decode_cache_size=8) as store:
+    with RlzStore.open(store_path, cache=_lru(8)) as store:
         store.get_many(doc_ids)
         store.disk.reset()
         again = store.get_many(doc_ids)
@@ -97,8 +102,8 @@ def test_get_many_cache_accounting_matches_get(store_path, gov_small, capacity):
     entries mid-replay."""
     doc_ids = gov_small.doc_ids()
     for sequence in _access_sequences(doc_ids):
-        with RlzStore.open(store_path, decode_cache_size=capacity) as via_get, RlzStore.open(
-            store_path, decode_cache_size=capacity
+        with RlzStore.open(store_path, cache=_lru(capacity)) as via_get, RlzStore.open(
+            store_path, cache=_lru(capacity)
         ) as via_get_many:
             expected = [via_get.get(doc_id) for doc_id in sequence]
             batch = via_get_many.get_many(sequence)
@@ -113,17 +118,17 @@ def test_get_many_replays_entry_evicted_during_batch(store_path, gov_small):
     must be re-decoded exactly as ``get`` would (miss counted, bytes
     correct)."""
     doc_ids = gov_small.doc_ids()
-    with RlzStore.open(store_path, decode_cache_size=1) as store:
+    with RlzStore.open(store_path, cache=_lru(1)) as store:
         a, b = doc_ids[0], doc_ids[1]
         store.get(a)  # cache == {a}
         batch = store.get_many([b, a])  # b evicts a, then a must re-decode
         assert batch == [store.get(b), store.get(a)]
 
-    with RlzStore.open(store_path, decode_cache_size=1) as reference:
+    with RlzStore.open(store_path, cache=_lru(1)) as reference:
         reference.get(a)
         reference.get(b)
         reference.get(a)
-    with RlzStore.open(store_path, decode_cache_size=1) as store:
+    with RlzStore.open(store_path, cache=_lru(1)) as store:
         store.get(a)
         store.get_many([b, a])
         assert store.cache_info == reference.cache_info

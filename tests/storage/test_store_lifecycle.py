@@ -54,22 +54,10 @@ def test_context_manager_exit_then_close(store_path, gov_small):
     assert store.closed
 
 
-def test_decode_cache_size_shim_warns_and_works(store_path, gov_small):
-    doc_id = gov_small.doc_ids()[0]
-    with pytest.warns(DeprecationWarning, match="decode_cache_size"):
-        store = RlzStore.open(store_path, decode_cache_size=3)
-    with store:
-        store.get(doc_id)
-        store.get(doc_id)
-        assert store.cache_info["hits"] == 1
-        assert isinstance(store.cache, LruCache)
-
-
-def test_decode_cache_size_zero_maps_to_null_tier(store_path):
-    with pytest.warns(DeprecationWarning):
-        store = RlzStore.open(store_path, decode_cache_size=0)
-    with store:
-        assert isinstance(store.cache, NullCache)
+def test_decode_cache_size_knob_is_gone(store_path):
+    # The deprecated spelling of cache=LruCache(n) was removed.
+    with pytest.raises(TypeError):
+        RlzStore.open(store_path, decode_cache_size=3)
 
 
 def test_default_open_has_no_cache_and_no_warning(store_path, recwarn):
@@ -77,11 +65,6 @@ def test_default_open_has_no_cache_and_no_warning(store_path, recwarn):
         assert isinstance(store.cache, NullCache)
     deprecations = [w for w in recwarn.list if w.category is DeprecationWarning]
     assert not deprecations
-
-
-def test_cache_and_decode_cache_size_are_mutually_exclusive(store_path):
-    with pytest.raises(StorageError):
-        RlzStore.open(store_path, decode_cache_size=3, cache=LruCache(3))
 
 
 def test_injected_tier_serves_and_counts(store_path, gov_small):

@@ -87,13 +87,11 @@ API_EXPORTS = {
     "AsyncArchiveView",
     "AsyncRlzArchive",
     "CacheSpec",
-    "DeadlineSpec",
     "DictionarySpec",
     "EncodingSpec",
     "ParallelSpec",
     "PartitionSpec",
     "RequestStats",
-    "RetrySpec",
     "RlzArchive",
     "SearchSpec",
     "ServeSpec",
