@@ -571,7 +571,7 @@ class ClusterPolicy:
         yield from skipped
 
     def _settle(
-        self, label: str, error: Optional[BaseException] = None, position: int = 0
+        self, label: str, error: Optional[BaseException] = None, failover: bool = False
     ) -> bool:
         """Record one endpoint call's outcome on its breaker; returns
         whether the error means "try another endpoint".
@@ -581,12 +581,12 @@ class ClusterPolicy:
         is a success; a sustained ``R_BUSY`` releases the trial (alive,
         just saturated) and fails over; a connection error counts a
         failure and fails over; any other error releases the trial and
-        propagates.  A success at ``position > 0`` counts a failover.
+        propagates.  A success flagged ``failover`` counts a failover.
         """
         breaker = self._breakers[label]
         if error is None or isinstance(error, WrongShardError):
             breaker.record_success()
-            if error is None and position:
+            if error is None and failover:
                 with self._lock:
                     self._failovers += 1
             return False
@@ -600,23 +600,22 @@ class ClusterPolicy:
         self,
         route: Sequence[str],
         job: Callable[[Any], Any],
-        skip: Container[str] = (),
         error: Optional[BaseException] = None,
     ) -> Flow:
-        """Run ``job`` down the failover walk of ``route`` (skipping
-        ``skip``) until an endpoint answers; the last failover error
-        stands if none does."""
+        """Run ``job`` down the failover walk of ``route`` until an
+        endpoint answers; the last failover error stands if none does.
+        An answer past the route's head, or after an ``error`` the caller
+        seeded (from endpoints outside ``route``), counts a failover."""
         self._ensure_open()
+        seeded = error is not None
         for position, label in self._walk(route):
-            if label in skip:
-                continue
             outcome = (yield {label: job})[label]
             if isinstance(outcome, BaseException):
                 if not self._settle(label, outcome):
                     raise outcome
                 error = outcome
                 continue
-            self._settle(label, None, position)
+            self._settle(label, None, seeded or position > 0)
             return outcome
         assert error is not None
         raise error
@@ -1024,12 +1023,10 @@ class ClusterClient(ClusterPolicy):
             if not failover:
                 raise outcome  # archive-level error: an answer, not a failure
             error = outcome
+        rest = [label for label in self._shard_map.route(doc_id) if label not in fired]
         return (
             yield from self._failover_flow(
-                self._shard_map.route(doc_id),
-                lambda client: client.get(doc_id, deadline_ms),
-                skip=fired,
-                error=error,
+                rest, lambda client: client.get(doc_id, deadline_ms), error=error
             )
         )
 
@@ -1106,9 +1103,11 @@ class ClusterClient(ClusterPolicy):
                             f"shard {label} ended its scan early (at doc {doc_id})"
                         ) from None
                     except BaseException as exc:
-                        # A failed shard is left out and the rest re-planned.
+                        # A failed shard (not a refusal) is left out; re-plan the rest.
+                        if not self._settle(label, exc):
+                            raise
                         dead.add(label)
-                        if not self._settle(label, exc) or dead >= set(self.endpoints):
+                        if dead >= set(self.endpoints):
                             raise
                         with self._lock:
                             self._failovers += 1

@@ -14,9 +14,6 @@ identical ordering guarantees, identical error *types*.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-
 import pytest
 
 from repro.api import (
@@ -29,7 +26,6 @@ from repro.api import (
 )
 from repro.errors import StorageError, StoreClosedError
 from repro.serve import (
-    AsyncClusterClient,
     BackgroundServer,
     ClusterClient,
     RlzClient,
@@ -82,64 +78,6 @@ def _start_partitioned(partitioned_shards):
     return servers, endpoints
 
 
-class _AsyncViewBridge:
-    """Drive an :class:`AsyncClusterClient` from the synchronous battery.
-
-    A dedicated event-loop thread owns the client; every view method
-    submits one coroutine with ``run_coroutine_threadsafe`` and blocks on
-    the result, so exceptions (``StorageError``, ``StoreClosedError``)
-    surface with their real types, exactly as the sync views raise them.
-    """
-
-    def __init__(self, endpoints, **options):
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="async-view-bridge", daemon=True
-        )
-        self._thread.start()
-        options = {"retries": 0, "retry_delay": 0.01, **options}
-        self._client = AsyncClusterClient(endpoints, **options)
-        self._stopped = False
-
-    def _run(self, coroutine):
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(30)
-
-    def get(self, doc_id):
-        return self._run(self._client.get(doc_id))
-
-    def get_many(self, doc_ids):
-        return self._run(self._client.get_many(doc_ids))
-
-    def iter_documents(self):
-        iterator = self._client.iter_documents()  # async generator: no await
-        while True:
-            try:
-                yield self._run(iterator.__anext__())
-            except StopAsyncIteration:
-                return
-
-    def doc_ids(self):
-        return self._run(self._client.doc_ids())
-
-    def __len__(self):
-        return len(self.doc_ids())
-
-    def stats(self):
-        return self._run(self._client.stats())
-
-    @property
-    def closed(self):
-        return self._client.closed
-
-    def close(self):
-        if not self._stopped:
-            self._run(self._client.close())
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10)
-            self._loop.close()
-            self._stopped = True
-
-
 @pytest.fixture(
     scope="module",
     params=[
@@ -151,7 +89,7 @@ class _AsyncViewBridge:
         "async-cluster",
     ],
 )
-def view(request, view_archive, partitioned_shards):
+def view(request, view_archive, partitioned_shards, async_view_bridge):
     """The same archive behind every ArchiveView implementation."""
     if request.param == "local":
         archive = RlzArchive.open(view_archive, _config())
@@ -167,7 +105,7 @@ def view(request, view_archive, partitioned_shards):
         if request.param == "partitioned":
             client = ClusterClient(endpoints, retries=0, retry_delay=0.01)
         else:
-            client = _AsyncViewBridge(endpoints)
+            client = async_view_bridge(endpoints)
         try:
             yield client
         finally:

@@ -7,6 +7,9 @@ suite under ``benchmarks/`` is where realistic sizes are exercised.
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import pytest
 from hypothesis import settings
 
@@ -17,6 +20,7 @@ settings.register_profile("large", max_examples=2000)
 
 from repro.core import DictionaryConfig, RlzCompressor, build_dictionary
 from repro.corpus import generate_gov_collection, generate_wikipedia_collection
+from repro.serve import AsyncClusterClient
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +60,69 @@ def python_decoder():
     native._kernel = None
     yield
     native._kernel = saved
+
+
+class AsyncViewBridge:
+    """Drive an :class:`AsyncClusterClient` through the synchronous
+    ``ArchiveView`` surface.
+
+    A dedicated event-loop thread owns the client; every view method
+    submits one coroutine with ``run_coroutine_threadsafe`` and blocks on
+    the result, so exceptions (``StorageError``, ``StoreClosedError``)
+    surface with their real types, exactly as the sync views raise them.
+    """
+
+    def __init__(self, endpoints, **options):
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="async-view-bridge", daemon=True
+        )
+        self._thread.start()
+        options = {"retries": 0, "retry_delay": 0.01, **options}
+        self._client = AsyncClusterClient(endpoints, **options)
+        self._stopped = False
+
+    def _run(self, coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(30)
+
+    def get(self, doc_id):
+        return self._run(self._client.get(doc_id))
+
+    def get_many(self, doc_ids):
+        return self._run(self._client.get_many(doc_ids))
+
+    def iter_documents(self):
+        iterator = self._client.iter_documents()  # async generator: no await
+        while True:
+            try:
+                yield self._run(iterator.__anext__())
+            except StopAsyncIteration:
+                return
+
+    def doc_ids(self):
+        return self._run(self._client.doc_ids())
+
+    def __len__(self):
+        return len(self.doc_ids())
+
+    def stats(self):
+        return self._run(self._client.stats())
+
+    @property
+    def closed(self):
+        return self._client.closed
+
+    def close(self):
+        if not self._stopped:
+            self._run(self._client.close())
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10)
+            self._loop.close()
+            self._stopped = True
+
+
+@pytest.fixture(scope="session")
+def async_view_bridge():
+    """The :class:`AsyncViewBridge` class: ``async_view_bridge(endpoints,
+    **options)`` is an async cluster client behind the sync view surface."""
+    return AsyncViewBridge

@@ -10,10 +10,8 @@ both drivers of the one cluster policy (``ClusterClient`` and
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,24 +24,11 @@ from repro.errors import (
 from repro.serve import BackgroundServer, CircuitBreaker, ClusterClient, ShardMap
 
 
-def _load_async_view_bridge():
-    """The thread bridge the ArchiveView battery drives the async cluster
-    client through (``tests/api/test_archive_view.py``)."""
-    path = Path(__file__).parents[1] / "api" / "test_archive_view.py"
-    spec = importlib.util.spec_from_file_location("_archive_view_battery", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._AsyncViewBridge
-
-
-_AsyncViewBridge = _load_async_view_bridge()
-
-
 @pytest.fixture(params=["sync", "async"])
-def driver(request):
+def driver(request, async_view_bridge):
     """``make(endpoints, **options) -> (view, policy)`` for one cluster
     driver: :class:`ClusterClient`, or :class:`AsyncClusterClient` behind
-    the battery's bridge.  ``policy`` is the client object itself, for
+    the shared sync bridge.  ``policy`` is the client object itself, for
     introspection (failovers, breakers, endpoint clients)."""
     made = []
 
@@ -52,7 +37,7 @@ def driver(request):
             view = ClusterClient(endpoints, **options)
             policy = view
         else:
-            view = _AsyncViewBridge(endpoints, **options)
+            view = async_view_bridge(endpoints, **options)
             policy = view._client
         made.append(view)
         return view, policy
@@ -485,6 +470,31 @@ def test_breaker_filtering_does_not_consume_the_half_open_trial(cluster):
         doc_id = next(iter(collection)).doc_id
         assert client.get(doc_id)  # a success closes it again
         assert breaker.state in ("closed", "half-open")
+
+
+def test_hedge_backstop_leaves_a_fired_legs_half_open_trial_alone(cluster):
+    """After a hedged get's legs fail over, the sequential backstop walks
+    only the endpoints no leg reached: it must not claim (and then never
+    resolve) the half-open probe of an endpoint a leg already tried."""
+    endpoints, collection, _ = cluster
+    doc_id = next(iter(collection)).doc_id
+    with ClusterClient(
+        endpoints, hedge_delay=5.0, retries=0, retry_delay=0.01, breaker_cooldown=0.05
+    ) as client:
+        primary = client._candidates(doc_id)[0]
+        breaker = client.breaker(primary)
+        for _ in range(3):
+            breaker.record_failure()
+        time.sleep(0.08)
+        assert breaker.state == "half-open"
+
+        def busy(*args, **kwargs):
+            raise ServerBusyError("server still busy after 8 retries")
+
+        client._clients[primary].get = busy  # the primary leg fails over at once
+        assert client.get(doc_id) == collection.document_by_id(doc_id).content
+        assert client.failovers == 1
+        assert breaker.try_trial()  # the probe is still free
 
 
 def test_pipelined_window_override_does_not_stick(cluster):

@@ -14,6 +14,8 @@ The invariants under test, end to end:
   requests, clients cut over via pushed epochs (``R_WRONG_SHARD`` →
   refresh → retry, no restart), donors then refuse the moved arc, and
   every container on disk again holds only owned ids;
+* a rebalance landing mid-scan re-plans the rest of a fleet-wide
+  ``iter_documents`` against the new owners, in exact store order;
 * killing the donor's link mid-rebalance (``FaultProxy``) leaves the
   recipient's staged sidecar intact: a re-run resumes from the last
   acked doc id and the final fleet serves byte-identical documents.
@@ -321,6 +323,49 @@ def test_live_rebalance_zero_failed_reads(tmp_path, gov_small):
         }, ring_id
         assert read_manifest(path).epoch == 2
         assert not path.with_name(path.name + ".rebalance").exists()
+
+
+def test_iter_documents_replans_across_a_mid_scan_rebalance(tmp_path, gov_small):
+    """A rebalance lands while a fleet scan is open: the donor's stream is
+    refused with ``R_WRONG_SHARD`` and the scan re-plans against the new
+    map, the donor included for the arc it keeps."""
+    paths = build_partitioned_archives(gov_small, _partition_config(2), tmp_path)
+    paths["shard2"] = write_spare_shard(
+        next(iter(paths.values())), tmp_path / "shard2.rlz", "shard2"
+    )
+    servers, endpoints = _serve_fleet(paths)
+    order = [d.doc_id for d in gov_small]
+    old_ring = ShardMap(["shard0", "shard1"])
+    new_ring = ShardMap(["shard0", "shard1", "shard2"], epoch=2)
+
+    def sheds_and_keeps(ring_id):
+        # Past its first document, the donor both loses and keeps some.
+        rest = [d for d in order if old_ring.primary(d) == ring_id][1:]
+        owners = {new_ring.primary(d) for d in rest}
+        return {"shard2", ring_id} <= owners
+
+    donors = [ring_id for ring_id in ("shard0", "shard1") if sheds_and_keeps(ring_id)]
+    assert donors, "collection too small to split a donor's scan"
+    donor_label = next(e for e in endpoints if e.startswith(f"{donors[0]}@"))
+    try:
+        with ClusterClient(endpoints[:2], retries=0, retry_delay=0.01) as client:
+            shard = client._clients[donor_label]
+            real_scan = shard.scan
+
+            def scan_across_a_rebalance(doc_ids):
+                shard.scan = real_scan  # only this first scan is interrupted
+                yield from real_scan(doc_ids[:1])
+                rebalance(endpoints[:2], to=endpoints[2], batch_docs=4)
+                yield from real_scan(doc_ids[1:])  # refused: epoch 2 is live
+
+            shard.scan = scan_across_a_rebalance
+            assert list(client.iter_documents()) == [
+                (d.doc_id, d.content) for d in gov_small
+            ]
+            assert client.epoch == 2
+    finally:
+        for server in servers:
+            server.stop()
 
 
 def test_rebalance_resumes_after_donor_link_dies(tmp_path, gov_small):
