@@ -318,7 +318,7 @@ class RlzArchive:
         return document
 
     def get_many(self, doc_ids: Sequence[int]) -> List[bytes]:
-        """Batch random access (one vectorized decode for the misses)."""
+        """Batch random access (each missing document decoded once)."""
         cache_before = self._store.cache_info
         start = time.perf_counter()
         documents = self._store.get_many(doc_ids)

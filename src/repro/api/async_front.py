@@ -4,15 +4,21 @@ Heavy-traffic serving is many concurrent clients asking for overlapping
 sets of documents.  :class:`AsyncRlzArchive` puts an asyncio front on an
 archive:
 
-* decode work is offloaded to a thread pool, so the event loop stays free
-  while a request decodes (the store's file handle is seek/read-atomic and
-  the cache tiers are thread-safe, so the pool can be wider than one);
+* decode work is offloaded to the archive's one request-path pool, so the
+  event loop stays free while a request decodes.  The pool has one thread
+  by default: more threads only contend for the GIL with each other and
+  with the event loop (PERFORMANCE.md, "Backpressure and shutdown model").
+  The store's file handle is seek/read-atomic and the cache tiers are
+  thread-safe, so a wider pool stays correct;
 * duplicate in-flight ``get``\\ s for the same document are *coalesced*:
   the first request decodes, every concurrent duplicate awaits the same
   future and shares the result — the decode runs once no matter how many
   clients ask while it is in flight;
-* ``get_many`` offloads one batched (vectorized) decode; ``gather`` fans a
-  list of IDs out as coalescible per-document requests.
+* ``get_many`` offloads one ``RlzArchive.get_many`` call, which decodes
+  each missing document once, one at a time; ``gather`` fans a list of IDs
+  out as coalescible per-document requests;
+* :meth:`AsyncRlzArchive.offload` runs other archive work (a server's
+  SEARCH scoring and snippet windows) on the same pool.
 
 The front owns nothing the archive does not: closing it shuts the pool
 down and closes the archive (cache tier included).
@@ -23,13 +29,18 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from ..errors import StoreClosedError
 from .archive import RlzArchive
 from .config import ArchiveConfig
 
 __all__ = ["AsyncRlzArchive"]
+
+T = TypeVar("T")
+
+#: Decode threads per archive when ``max_workers`` is not given.
+DEFAULT_DECODE_THREADS = 1
 
 
 class AsyncRlzArchive:
@@ -40,14 +51,15 @@ class AsyncRlzArchive:
     archive:
         The archive to serve (takes ownership: closing the front closes it).
     max_workers:
-        Thread-pool width for decode offload.  ``None`` uses the
-        ``ThreadPoolExecutor`` default.
+        Thread-pool width for decode offload.  ``None`` uses
+        :data:`DEFAULT_DECODE_THREADS` (one thread).
     """
 
     def __init__(self, archive: RlzArchive, max_workers: Optional[int] = None) -> None:
         self._archive = archive
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="rlz-serve"
+            max_workers=DEFAULT_DECODE_THREADS if max_workers is None else max_workers,
+            thread_name_prefix="rlz-serve",
         )
         self._inflight: Dict[int, "asyncio.Future[bytes]"] = {}
         self._requests = 0
@@ -136,7 +148,7 @@ class AsyncRlzArchive:
         return await asyncio.shield(future)
 
     async def get_many(self, doc_ids: Sequence[int]) -> List[bytes]:
-        """One batched decode for the whole request (vectorized misses)."""
+        """The whole request in one pool submission (each miss decoded once)."""
         self._ensure_open()
         doc_ids = list(doc_ids)
         self._requests += len(doc_ids)
@@ -144,6 +156,12 @@ class AsyncRlzArchive:
         return await loop.run_in_executor(
             self._executor, self._archive.get_many, doc_ids
         )
+
+    async def offload(self, func: Callable[..., T], *args) -> T:
+        """``func(*args)`` on this archive's decode pool."""
+        self._ensure_open()
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, func, *args)
 
     async def gather(self, doc_ids: Sequence[int]) -> List[bytes]:
         """Fan out per-document requests concurrently (coalescing applies)."""

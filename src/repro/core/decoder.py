@@ -19,8 +19,10 @@ Two execution strategies produce identical output:
 All validation — literal byte range and dictionary bounds, shared by
 :func:`decode_factors` and :func:`decode_pairs` — happens before a single
 output byte is copied.  :func:`decode_many` batches whole request sets
-through one gather, which is what :class:`repro.storage.RlzStore` uses to
-serve multi-document reads.
+through one gather (the fast-path benchmark uses it).  Served reads do not:
+:class:`repro.storage.RlzStore` decodes one document at a time through
+:meth:`repro.core.PairEncoder.decode_document`, the native kernel when it
+is available and :func:`decode_pairs` otherwise.
 """
 
 from __future__ import annotations
@@ -191,9 +193,9 @@ def decode_many(
 
     The per-document streams are concatenated, validated and gathered as a
     single index array, then the decoded byte run is sliced back into one
-    ``bytes`` object per document.  For request batches (the store's
-    ``get_many``) this amortises the fixed numpy cost across the batch and
-    is substantially faster than decoding document by document.
+    ``bytes`` object per document.  For request batches this amortises the
+    fixed numpy cost across the batch and is substantially faster than
+    decoding document by document with the Python decoder.
     """
     pairs = list(stream_pairs)
     if not pairs:

@@ -29,10 +29,10 @@ with length 0 stores the literal byte value in its position field.
 
 Serving decodes go through :meth:`PairEncoder.decode_document` and
 :meth:`PairEncoder.decode_window`.  For the paper's four schemes (u32
-positions and vbyte lengths, each optionally zlib-wrapped) they inflate the
-streams in Python and hand them to the native kernel
-(:mod:`repro.core.native`), which validates and copies the document in one
-C call.  Other schemes, a process without the kernel, and every blob the
+positions and vbyte lengths, each optionally zlib-wrapped) they hand the
+blob to the native kernel (:mod:`repro.core.native`), which inflates,
+validates and copies the document — or only the prefix a window needs — in
+one C call.  Other schemes, a process without the kernel, and every blob the
 kernel rejects take the Python path (:meth:`PairEncoder.decode_streams` plus
 :func:`repro.core.decode_pairs`), which defines the results and the typed
 errors.
@@ -40,7 +40,6 @@ errors.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -65,13 +64,20 @@ PAPER_SCHEMES = ("ZZ", "ZV", "UZ", "UV")
 _MAX_OFFSET = (1 << 63) - 1
 
 
-def _kernel_stream(codec: IntegerCodec, inner: type) -> Optional[bool]:
-    """Whether ``codec``'s stream is zlib-wrapped ``inner`` words (``True``)
-    or bare ones (``False``); ``None`` when the native kernel cannot read it."""
-    inflate = type(codec) is ZlibCodec
-    if inflate:
-        codec = codec.inner
-    return inflate if type(codec) is inner else None
+def _kernel_layout(scheme: "PairCodingScheme") -> Optional[int]:
+    """The native kernel's ``layout`` argument for ``scheme`` (which streams
+    are zlib-wrapped), or ``None`` when the kernel cannot read its streams:
+    positions must be u32 words and lengths vbyte, each optionally zlib."""
+    layout = 0
+    for codec, inner, inflate in (
+        (scheme.position_codec, U32Codec, native.INFLATE_POSITIONS),
+        (scheme.length_codec, VByteCodec, native.INFLATE_LENGTHS),
+    ):
+        if type(codec) is ZlibCodec:
+            codec, layout = codec.inner, layout | inflate
+        if type(codec) is not inner:
+            return None
+    return layout
 
 
 @dataclass(frozen=True)
@@ -123,13 +129,7 @@ class PairEncoder:
         if isinstance(scheme, str):
             scheme = PairCodingScheme.from_name(scheme)
         self._scheme = scheme
-        positions = _kernel_stream(scheme.position_codec, U32Codec)
-        lengths = _kernel_stream(scheme.length_codec, VByteCodec)
-        #: ``(inflate positions, inflate lengths)`` when the native kernel
-        #: reads this scheme's streams, else ``None``.
-        self._kernel_layout = (
-            None if positions is None or lengths is None else (positions, lengths)
-        )
+        self._kernel_layout = _kernel_layout(scheme)
 
     @property
     def scheme(self) -> PairCodingScheme:
@@ -201,11 +201,9 @@ class PairEncoder:
         """
         kernel = self._kernel()
         if kernel is not None:
-            streams = self._inflated_streams(blob)
-            if streams is not None:
-                document = kernel.document(*streams, dictionary.data)
-                if document is not None:
-                    return document
+            document = kernel.document(blob, self._kernel_layout, dictionary.data)
+            if document is not None:
+                return document
         positions, lengths = self.decode_streams(blob)
         return decode_pairs(positions, lengths, dictionary)
 
@@ -217,22 +215,24 @@ class PairEncoder:
         Returns the window and the output size of the factors intersecting
         it (0 for an empty window): the bytes a partial decode materialises,
         which :attr:`repro.storage.RlzStore.decoded_bytes` charges.  Routed
-        like :meth:`decode_document`.
+        like :meth:`decode_document`, except that the kernel reads and
+        validates the blob only through the window's last covering factor:
+        a blob malformed only after it still yields the window, where the
+        Python path would raise.
         """
         if start < 0 or length < 0:
             raise ValueError(f"window needs non-negative start/length, got {start}/{length}")
         kernel = self._kernel()
         if kernel is not None:
-            streams = self._inflated_streams(blob)
-            if streams is not None:
-                result = kernel.window(
-                    *streams,
-                    dictionary.data,
-                    min(start, _MAX_OFFSET),
-                    min(length, _MAX_OFFSET),
-                )
-                if result is not None:
-                    return result
+            result = kernel.window(
+                blob,
+                self._kernel_layout,
+                dictionary.data,
+                min(start, _MAX_OFFSET),
+                min(length, _MAX_OFFSET),
+            )
+            if result is not None:
+                return result
         return self._decode_window_arrays(blob, dictionary, start, length)
 
     def _decode_window_arrays(
@@ -260,27 +260,6 @@ class PairEncoder:
 
     def _kernel(self) -> Optional[native.Kernel]:
         return native.kernel() if self._kernel_layout is not None else None
-
-    def _inflated_streams(self, blob: bytes) -> Optional[Tuple[bytes, bytes, int]]:
-        """``(positions, lengths, count)`` ready for the kernel, or ``None``
-        when the streams cannot be cut out or inflated (the Python path then
-        raises the typed error)."""
-        count, position_size, offset = self._read_header(blob)
-        position_end = offset + position_size
-        if position_end > len(blob):
-            return None
-        positions, lengths = blob[offset:position_end], blob[position_end:]
-        inflate_positions, inflate_lengths = self._kernel_layout
-        try:
-            if inflate_positions:
-                positions = zlib.decompress(positions)
-            if inflate_lengths:
-                lengths = zlib.decompress(lengths)
-        except zlib.error:
-            return None
-        if count > len(positions) // 4:
-            return None
-        return positions, lengths, count
 
     def _decode(self, blob: bytes, as_arrays: bool):
         count, position_size, offset = self._read_header(blob)

@@ -753,8 +753,9 @@ class RlzServer:
         path (:meth:`RlzStore.get_window`) — never a whole-document decode.
 
         Scoring, every snippet window and the reply encoding run in one
-        executor submission, against a store captured before it, so the
-        whole reply comes from one store and pays one thread hand-off.
+        submission to the archive front's decode pool, against a store
+        captured before it, so the whole reply comes from one store and pays
+        one thread hand-off; the stats leg goes to the same pool.
         """
         entry = conn.entry
         index = entry.search_index
@@ -767,10 +768,10 @@ class RlzServer:
                 "SearchSpec(enabled=True) (repro partition --search-index)"
             )
         entry.search_requests += 1
-        loop = asyncio.get_running_loop()
+        front = entry.front
         if stats_only:
-            num_docs, total_length, frequencies = await loop.run_in_executor(
-                None, index.term_stats, query
+            num_docs, total_length, frequencies = await front.offload(
+                index.term_stats, query
             )
             await conn.respond(
                 Opcode.R_SEARCH,
@@ -789,7 +790,7 @@ class RlzServer:
             else None
         )
 
-        store = entry.front.archive.store
+        store = front.archive.store
 
         def _serve() -> bytes:
             hits = index.search(
@@ -814,7 +815,7 @@ class RlzServer:
                 )
             return protocol.pack_search_results(wire_hits)
 
-        reply = await loop.run_in_executor(None, _serve)
+        reply = await front.offload(_serve)
         await conn.respond(Opcode.R_SEARCH, reply, request_id)
 
     async def _dispatch_scan(
@@ -822,11 +823,11 @@ class RlzServer:
     ) -> None:
         """Bulk scan: batched container reads, many documents per frame.
 
-        SCAN decodes ``chunk_docs`` documents per batched ``get_many`` — one vectorized
-        pass over the container per chunk — and ships each batch as one
-        R_CHUNK frame.  An explicit doc-id list scans just that subset, in
-        the requested order (the cluster client uses this to scan only the
-        documents a shard owns).
+        SCAN decodes ``chunk_docs`` documents per ``get_many`` — one pool
+        submission per chunk, each document decoded once — and ships each
+        batch as one R_CHUNK frame.  An explicit doc-id list scans just that
+        subset, in the requested order (the cluster client uses this to scan
+        only the documents a shard owns).
 
         Ownership is re-checked per chunk on a partitioned archive: a
         rebalance that sheds part of the requested set mid-stream turns

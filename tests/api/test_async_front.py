@@ -99,6 +99,35 @@ def test_concurrent_get_many_is_byte_identical(archive_path, gov_small):
     asyncio.run(main())
 
 
+def test_default_front_serves_concurrent_gets_on_one_thread(archive_path, gov_small):
+    """A front built without ``max_workers`` decodes on one thread: every
+    concurrent get (and an offloaded call) runs there, and all come back
+    byte-identical."""
+    import threading
+
+    async def main():
+        front = AsyncRlzArchive.open(archive_path, _config())
+        threads = set()
+        real_get = front.archive.get
+
+        def recording_get(doc_id):
+            threads.add(threading.get_ident())
+            return real_get(doc_id)
+
+        front.archive.get = recording_get
+        try:
+            doc_ids = front.archive.doc_ids()
+            results = await asyncio.gather(*(front.get(doc_id) for doc_id in doc_ids))
+            assert results == [gov_small.document_by_id(d).content for d in doc_ids]
+            threads.add(await front.offload(threading.get_ident))
+        finally:
+            await front.close()
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+
+    asyncio.run(main())
+
+
 def test_gather_fans_out_with_coalescing(archive_path, gov_small):
     async def main():
         async with AsyncRlzArchive.open(archive_path, _config()) as front:

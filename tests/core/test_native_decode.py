@@ -1,24 +1,36 @@
 """Native decode kernel parity: the C kernel against the Python decoder.
 
 The Python decoder (``decode_pairs(*decode_streams(blob))`` and the array
-window path) is the oracle.  On every blob the kernel must either return
-exactly the oracle's bytes — and, for a window, charge what the factor-walk
-oracle of ``tests/storage/test_windowed_decode.py`` charges — or reject the
-blob, and for a whole document it rejects exactly the blobs the oracle
-raises on.  ``PairEncoder.decode_document``/``decode_window`` then answer a
-rejected blob through the Python path: the same typed error, same message.
+window path) is the oracle.  On every well-formed blob the kernel returns
+exactly the oracle's bytes — and, for a window, charges what the
+factor-walk oracle of ``tests/storage/test_windowed_decode.py`` charges.
+For a whole document it rejects exactly the blobs the oracle raises on, and
+``PairEncoder.decode_document`` then answers through the Python path: the
+same typed error, same message.
 
-The loader's fallback is covered too: without a compiler, or with an
-unwritable cache directory, a store serves identical bytes through the
-Python decoder and one warning names the reason.
+A window reads and validates the blob only through its last covering
+factor (the container's extent CRC rejects on-disk corruption before any
+decode).  A blob malformed only after that factor yields the window from
+the kernel; one malformed at or before it is rejected, and
+``decode_window`` answers through the Python path.
+
+The kernel inflates without the GIL in per-thread state: concurrent
+decodes stay byte-identical, and a Python thread runs while one inflates.
+The loader's fallback is covered too: without a compiler, without the zlib
+headers, or with an unwritable cache directory, a store serves identical
+bytes through the Python decoder and one warning names the reason.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import logging
+import random
 import shutil
+import sys
 import sysconfig
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +52,12 @@ def _load_window_oracle():
 
 #: Bytes the covering factors of a window output (the ``decoded_bytes`` charge).
 covering_charge = _load_window_oracle()
+
+
+def _budget(examples):
+    """``examples`` in tier-1, or the active profile's budget when it is
+    larger (CI runs this file with ``--hypothesis-profile=large``)."""
+    return max(examples, settings.default.max_examples)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +92,12 @@ def _python_document(encoder, blob, dictionary):
 
 def _raw_document(kernel, encoder, blob, dictionary):
     """The kernel's own answer: bytes, or ``None`` for a rejected blob."""
-    streams = encoder._inflated_streams(blob)
-    return None if streams is None else kernel.document(*streams, dictionary.data)
+    return kernel.document(blob, encoder._kernel_layout, dictionary.data)
+
+
+def _raw_window(kernel, encoder, blob, dictionary, start, length):
+    """The kernel's own window: ``(bytes, covered)``, or ``None``."""
+    return kernel.window(blob, encoder._kernel_layout, dictionary.data, start, length)
 
 
 def _assert_document_parity(kernel, scheme, blob, dictionary):
@@ -121,7 +143,7 @@ invalid_factors = st.one_of(
         st.tuples(st.just("cut"), st.integers(1, 40)),
     ),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_budget(300), deadline=None)
 def test_document_matches_python_decoder(kernel, scheme, document, corrupt):
     dictionary, positions, lengths = document
     count, cut = None, 0
@@ -139,7 +161,7 @@ def test_document_matches_python_decoder(kernel, scheme, document, corrupt):
 
 
 @given(scheme=st.sampled_from(PAPER_SCHEMES), document=documents())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=_budget(100), deadline=None)
 def test_kernel_accepts_every_valid_stream(kernel, scheme, document):
     dictionary, positions, lengths = document
     blob = _blob(scheme, positions, lengths)
@@ -190,10 +212,18 @@ def test_rejected_blobs_raise_the_python_error(kernel, scheme):
 
 
 def test_corrupt_zlib_stream_raises_the_python_error(kernel):
+    """A corrupt deflate byte at the start of the position stream lies
+    before any factor, so the document and every window reject it."""
     blob = bytearray(_blob("ZZ", [1, 2, 3], [4, 5, 6]))
     blob[4] ^= 0xFF
+    blob = bytes(blob)
+    encoder = PairEncoder("ZZ")
     with pytest.raises(DecodingError, match="corrupt zlib stream"):
-        PairEncoder("ZZ").decode_document(bytes(blob), DICTIONARY)
+        encoder.decode_document(blob, DICTIONARY)
+    for window in ((0, 1), (0, 100)):
+        assert _raw_window(kernel, encoder, blob, DICTIONARY, *window) is None
+        with pytest.raises(DecodingError, match="corrupt zlib stream"):
+            encoder.decode_window(blob, DICTIONARY, *window)
 
 
 def test_other_schemes_use_the_python_decoder(kernel):
@@ -214,14 +244,13 @@ def _assert_window(kernel, scheme, blob, dictionary, lengths, start, length):
     window, covered = encoder.decode_window(blob, dictionary, start, length)
     assert window == full[start : start + length], (start, length)
     assert covered == covering_charge(lengths, start, length), (start, length)
-    streams = encoder._inflated_streams(blob)
     clamped = min(start, 2**63 - 1), min(length, 2**63 - 1)
-    assert kernel.window(*streams, dictionary.data, *clamped) == (window, covered)
+    assert _raw_window(kernel, encoder, blob, dictionary, *clamped) == (window, covered)
     assert encoder._decode_window_arrays(blob, dictionary, start, length) == (window, covered)
 
 
 @given(scheme=st.sampled_from(PAPER_SCHEMES), document=documents(), data=st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_budget(200), deadline=None)
 def test_window_equals_full_document_slice(kernel, scheme, document, data):
     dictionary, positions, lengths = document
     size = sum(length or 1 for length in lengths)
@@ -267,36 +296,227 @@ def test_window_of_empty_document(kernel, scheme):
         _assert_window(kernel, scheme, blob, DICTIONARY, [], start, length)
 
 
+def _last_covering(lengths, start, length):
+    """Index of the last factor whose output reaches ``start + length``."""
+    end = start + length
+    offset = 0
+    for index, size in enumerate(lengths):
+        offset += size or 1
+        if offset >= end:
+            return index
+    return len(lengths) - 1
+
+
+@st.composite
+def windows_inside(draw, lengths):
+    """A non-empty window inside a document with these factor lengths."""
+    size = sum(length or 1 for length in lengths)
+    start = draw(st.integers(0, size - 1))
+    return start, draw(st.integers(1, size - start))
+
+
 @given(
     scheme=st.sampled_from(PAPER_SCHEMES),
-    document=documents(),
-    index=st.integers(0, 60),
+    document=documents().filter(lambda document: document[1]),
     bad=invalid_factors,
-    start=st.integers(0, 400),
-    length=st.integers(0, 400),
+    data=st.data(),
 )
-@example(scheme="ZZ", document=(DICTIONARY, [1], [3]), index=1, bad=(9, 2**70), start=0, length=2)
-@settings(max_examples=150, deadline=None)
-def test_window_over_corrupt_streams_matches_python(
-    kernel, scheme, document, index, bad, start, length
+@example(
+    scheme="ZZ",
+    document=(DICTIONARY, [1, 65], [3, 0]),
+    bad=(9, 2**70),
+    data=None,
+)
+@settings(max_examples=_budget(150), deadline=None)
+def test_window_ignores_malformed_factors_after_its_last_covering_one(
+    kernel, scheme, document, bad, data
 ):
-    """The kernel validates every factor, so it rejects a blob whose bad
-    factor lies outside the window; the Python path then answers as before."""
+    """The window comes from the kernel although the whole blob is
+    malformed; the document decode still raises."""
     dictionary, positions, lengths = document
-    index = min(index, len(positions))
+    if data is None:
+        start, length = 0, 2
+    else:
+        start, length = data.draw(windows_inside(lengths))
+    last = _last_covering(lengths, start, length)
+    index = last + 1 if data is None else data.draw(st.integers(last + 1, len(lengths)))
+    encoder = PairEncoder(scheme)
+    expected = _python_document(encoder, _blob(scheme, positions, lengths), dictionary)
+    covered = covering_charge(lengths, start, length)
     positions.insert(index, bad[0])
     lengths.insert(index, bad[1])
+    blob = _blob(scheme, positions, lengths)
+    window = (expected[start : start + length], covered)
+    assert _raw_window(kernel, encoder, blob, dictionary, start, length) == window
+    assert encoder.decode_window(blob, dictionary, start, length) == window
+    with pytest.raises(DecodingError):
+        encoder.decode_document(blob, dictionary)
+
+
+@given(
+    scheme=st.sampled_from(PAPER_SCHEMES),
+    document=documents().filter(lambda document: document[1]),
+    bad=invalid_factors,
+    data=st.data(),
+)
+@example(scheme="ZZ", document=(DICTIONARY, [1], [3]), bad=(9, 2**70), data=None)
+@settings(max_examples=_budget(150), deadline=None)
+def test_window_over_corrupt_streams_matches_python(kernel, scheme, document, bad, data):
+    """A malformed factor at or before the window's last covering one is
+    rejected by the kernel, and ``decode_window`` answers as the Python path
+    does.  (One after it is not read: see the test above.)"""
+    dictionary, positions, lengths = document
+    index = 0 if data is None else data.draw(st.integers(0, len(lengths)))
+    positions.insert(index, bad[0])
+    lengths.insert(index, bad[1])
+    # A window inside the document whose end lies in or after the bad
+    # factor's output.
+    size = sum(length or 1 for length in lengths)
+    reach = sum(length or 1 for length in lengths[: index + 1])
+    if data is None or size > 2**62:
+        start, length = 0, 2**70
+    else:
+        start = data.draw(st.integers(0, size - 1))
+        length = max(0, reach - start) + data.draw(st.integers(1, size + 3))
     encoder = PairEncoder(scheme)
     blob = _blob(scheme, positions, lengths)
-    assert kernel.window(*encoder._inflated_streams(blob), dictionary.data, start, length) is None
+    clamped = min(start, 2**63 - 1), min(length, 2**63 - 1)
+    assert _raw_window(kernel, encoder, blob, dictionary, *clamped) is None
     assert _outcome(
         lambda: encoder.decode_window(blob, dictionary, start, length)
     ) == _outcome(lambda: encoder._decode_window_arrays(blob, dictionary, start, length))
+    with pytest.raises(DecodingError):
+        encoder.decode_document(blob, dictionary)
+
+
+@pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+def test_window_reads_only_through_its_last_covering_factor(kernel, scheme):
+    """A factor count one past the streams leaves the last factor without a
+    position word or length codeword.  An early window never reads that
+    far; a window past the end clamps, which reads the whole length stream,
+    so it is rejected."""
+    positions, lengths = WINDOW_FACTORS
+    blob = _blob(scheme, positions, lengths, count=len(positions) + 1)
+    encoder = PairEncoder(scheme)
+    assert encoder.decode_window(blob, DICTIONARY, 1, 3) == (bytes(range(10, 13)), 5)
+    assert _raw_window(kernel, encoder, blob, DICTIONARY, 8, 100) is None
+    with pytest.raises(DecodingError):
+        encoder.decode_window(blob, DICTIONARY, 8, 100)
+    with pytest.raises(DecodingError):
+        encoder.decode_document(blob, DICTIONARY)
+
+
+@pytest.mark.parametrize("stream", ["positions", "lengths"])
+def test_window_ignores_a_corrupt_zlib_checksum(kernel, stream):
+    """A broken adler32 trailer lies after every factor: a window inflates
+    only a prefix and never reaches it, the document inflates to the end."""
+    encoder = PairEncoder("ZZ")
+    rng = random.Random(5)
+    positions = [rng.randrange(190) for _ in range(500)]
+    lengths = [rng.randrange(1, 10) for _ in range(500)]
+    good = _blob("ZZ", positions, lengths)
+    count, position_size, offset = encoder._read_header(good)
+    blob = bytearray(good)
+    blob[offset + position_size - 1 if stream == "positions" else -1] ^= 0xFF
+    blob = bytes(blob)
+    expected = _python_document(encoder, good, DICTIONARY)
+    window = encoder.decode_window(blob, DICTIONARY, 40, 160)
+    assert window == encoder.decode_window(good, DICTIONARY, 40, 160)
+    assert window[0] == expected[40:200]
+    with pytest.raises(DecodingError, match="corrupt zlib stream"):
+        encoder.decode_document(blob, DICTIONARY)
 
 
 def test_window_rejects_negative_arguments():
     with pytest.raises(ValueError):
         PairEncoder("ZZ").decode_window(_blob("ZZ", [1], [2]), DICTIONARY, -1, 2)
+
+
+# ----------------------------------------------------------------------
+# Threads and the GIL
+# ----------------------------------------------------------------------
+def test_concurrent_decodes_match_the_python_decoder(kernel):
+    """Eight threads interleave documents and windows of every scheme while
+    the interpreter switches threads every microsecond: shared inflate
+    state or buffers would mix their bytes."""
+    rng = random.Random(11)
+    dictionary = RlzDictionary(bytes(rng.randrange(256) for _ in range(4096)))
+    tasks = []
+    for number in range(24):
+        scheme = PAPER_SCHEMES[number % len(PAPER_SCHEMES)]
+        factors = [
+            (rng.randrange(256), 0) if rng.random() < 0.2 else (rng.randrange(4000), rng.randrange(1, 96))
+            for _ in range(rng.randrange(200, 3000))
+        ]
+        positions, lengths = [p for p, _ in factors], [l for _, l in factors]
+        encoder = PairEncoder(scheme)
+        blob = _blob(scheme, positions, lengths)
+        document = _python_document(encoder, blob, dictionary)
+        tasks.append((encoder, blob, None, document))
+        for _ in range(3):
+            start, length = rng.randrange(len(document)), rng.randrange(1, 400)
+            window = encoder._decode_window_arrays(blob, dictionary, start, length)
+            tasks.append((encoder, blob, (start, length), window))
+    failures = []
+
+    def work(seed):
+        order = random.Random(seed).sample(tasks, len(tasks))
+        for encoder, blob, window, expected in order * 4:
+            if window is None:
+                got = encoder.decode_document(blob, dictionary)
+            else:
+                got = encoder.decode_window(blob, dictionary, *window)
+            if got != expected:
+                failures.append((encoder.scheme_name, window))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+
+
+def test_kernel_releases_the_gil_while_it_inflates(kernel):
+    """A pure-Python thread keeps counting during one kernel call that
+    inflates an 8 MB position stream.  The switch interval is far longer
+    than the call and the counter hands the GIL back after every step, so
+    it only runs during the call if the kernel releases the GIL."""
+    count = 2_000_000
+    blob = _blob("ZV", list(range(200)) * (count // 200), [1] * count)
+    encoder = PairEncoder("ZV")
+    counter = [0]
+    running = threading.Event()
+    stop = threading.Event()
+
+    def spin():
+        running.set()
+        while not stop.is_set():
+            counter[0] += 1
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)
+    thread = threading.Thread(target=spin)
+    try:
+        thread.start()
+        assert running.wait(timeout=10)
+        before = counter[0]
+        document = _raw_document(kernel, encoder, blob, DICTIONARY)
+        advanced = counter[0] - before
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert document == bytes(range(200)) * (count // 200)
+    assert advanced > 0
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +570,18 @@ def test_loader_compiles_into_the_cache_directory(fresh_loader, caplog, zz_store
     assert not _native_warnings(caplog)
 
 
-@pytest.mark.parametrize("failure", ["missing compiler", "unwritable cache"])
+def test_cache_key_covers_the_compile_command():
+    """A changed flag (dropping ``-lz``, say) names a different library, so
+    a build made with other flags is never loaded."""
+    command = native._command(sysconfig.get_paths()["include"])
+    assert "-lz" in command
+    assert native._library_path(command) == native._library_path(list(command))
+    assert native._library_path(command) != native._library_path(command[:-1])
+
+
+@pytest.mark.parametrize(
+    "failure", ["missing compiler", "missing zlib headers", "unwritable cache"]
+)
 def test_fallback_serves_identical_bytes_and_warns_once(
     failure, fresh_loader, monkeypatch, caplog, zz_store_path, gov_small
 ):
@@ -359,6 +590,11 @@ def test_fallback_serves_identical_bytes_and_warns_once(
         empty.mkdir()
         monkeypatch.setenv("PATH", str(empty))
         reason = "no C compiler"
+    elif failure == "missing zlib headers":
+        if shutil.which(native._COMPILER) is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(native, "_ZLIB_HEADER", "repro-missing-zlib.h")
+        reason = "no zlib headers: cannot find repro-missing-zlib.h"
     else:
         blocker = fresh_loader / "not-a-directory"
         blocker.write_bytes(b"")

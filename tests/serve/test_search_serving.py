@@ -113,12 +113,12 @@ def test_snippets_come_from_the_document(search_server, gov_small):
 @pytest.fixture
 def executor_submissions(monkeypatch):
     """Every ``run_in_executor`` call made by any event loop (the server's
-    included) while the test runs."""
+    included) while the test runs, as ``(executor, func)``."""
     submitted = []
     original = asyncio.BaseEventLoop.run_in_executor
 
     def counting(loop, executor, func, *args):
-        submitted.append(func)
+        submitted.append((executor, func))
         return original(loop, executor, func, *args)
 
     monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counting)
@@ -128,8 +128,10 @@ def executor_submissions(monkeypatch):
 def test_snippet_search_is_one_executor_hop(
     search_server, indexed_archive, gov_small, executor_submissions
 ):
-    """Scoring and all top-k snippet windows share one submission, and the
-    reply is exactly what scoring then windowing each hit gives."""
+    """Scoring and all top-k snippet windows share one submission to the
+    archive front's decode pool (never the loop's default executor), the
+    stats leg goes to the same pool, and the reply is exactly what scoring
+    then windowing each hit gives."""
     path, _, _ = indexed_archive
     query = _queries(gov_small)[1]
     contents = {document.doc_id: document.content for document in gov_small}
@@ -147,16 +149,17 @@ def test_snippet_search_is_one_executor_hop(
     assert len(expected) > 1
     with RlzClient(*search_server.address) as client:
         client.search(query, top_k=10, snippet_chars=chars)  # opens lazily
+        pool = search_server._server.front._executor
         executor_submissions.clear()
         hits = client.search(query, top_k=10, snippet_chars=chars)
-        assert len(executor_submissions) == 1
+        assert [executor for executor, _ in executor_submissions] == [pool]
         assert [
             (hit.doc_id, hit.score, hit.snippet, hit.snippet_start) for hit in hits
         ] == expected
 
         executor_submissions.clear()
         num_documents, _, _ = client.search_stats(query)
-        assert len(executor_submissions) == 1
+        assert [executor for executor, _ in executor_submissions] == [pool]
         assert num_documents == len(gov_small)
 
 
