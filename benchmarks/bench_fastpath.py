@@ -1,9 +1,9 @@
 """Fast-path throughput benchmark: current pipeline vs the frozen seed.
 
 Measures encode throughput (jump-start index + stream factorization +
-parallel pipeline), decode throughput (batch decode + serving cache) and
-the serving front (async clients + cache tier vs the sequential get loop)
-against frozen re-implementations of the seed revision's hot loops, verifies
+parallel pipeline), decode throughput (``PairEncoder.decode_document`` plus
+the serving cache) and the serving front (async clients + cache tier vs the
+sequential get loop) against frozen re-implementations of the seed revision's hot loops, verifies
 byte-identical factor streams and exact round-trips in the same run, and
 appends the raw numbers to ``benchmarks/results/fastpath.json`` so the perf
 trajectory accumulates machine-readable points.

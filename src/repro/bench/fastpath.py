@@ -19,8 +19,10 @@ Measured pipelines:
 * ``encode/parallel``  — the same fast path fanned out over a
   :class:`repro.core.ParallelCompressor` pool;
 * ``decode/seed``      — the seed's per-factor ``bytearray`` append loop;
-* ``decode/fast``      — vectorized batch :func:`repro.core.decode_many`;
-* ``decode/serving``   — the batch decoder behind the store's LRU
+* ``decode/fast``      — :meth:`repro.core.PairEncoder.decode_document` on
+  each stored blob (the native kernel for the paper's schemes, else the
+  Python decoder);
+* ``decode/serving``   — the same decode behind the store's LRU
   decoded-document cache on a repeated-access log.
 """
 
@@ -41,7 +43,6 @@ from ..core import (
     RlzDictionary,
     RlzFactorizer,
     build_dictionary,
-    decode_many,
 )
 from ..corpus.document import DocumentCollection
 from .corpora import gov_collection
@@ -333,12 +334,13 @@ def fastpath_benchmark(
     workload — a shuffled query log touching each document
     ``serving_repeats`` times, seed decoding every request, the fast side
     running the store's serving semantics (an LRU of decoded documents with
-    the same hit/evict behaviour as ``RlzStore``'s cache, misses decoded by
-    the batch decoder; disk I/O is excluded from both sides so the
-    comparison is pure decode work).  The serving comparison is the
-    headline decode speedup: it is the workload the decode fast path
-    (batch ``decode_many`` + store cache) was built for, and the served
-    bytes are verified against the corpus.
+    the same hit/evict behaviour as ``RlzStore``'s cache, misses decoded
+    from their blobs by :meth:`PairEncoder.decode_document`; disk I/O is
+    excluded from both sides).  The seed side decodes pre-parsed factor
+    streams, the fast side whole blobs, stream parsing included.  The
+    serving comparison is the headline decode speedup: it is the workload
+    the store cache serves, and the served bytes are verified against the
+    corpus.
 
     Every timed pipeline is verified in the same run: factor streams must be
     byte-identical to the seed's, and every decoded document must round-trip
@@ -402,7 +404,7 @@ def fastpath_benchmark(
     parallel_identical = parallel_blobs == fast_blobs
 
     # ------------------------------------------------------------------
-    # Decode, single pass: frozen seed loop vs batch decode_many
+    # Decode, single pass: frozen seed loop vs PairEncoder.decode_document
     # ------------------------------------------------------------------
     streams = [encoder.decode_streams(blob) for blob in fast_blobs]
 
@@ -422,9 +424,11 @@ def fastpath_benchmark(
 
     def run_fast_decode() -> None:
         fast_decoded.clear()
-        fast_decoded.extend(decode_many(streams, dictionary))
+        fast_decoded.extend(
+            encoder.decode_document(blob, dictionary) for blob in fast_blobs
+        )
 
-    decode_many(streams[:1], dictionary)  # warm the decode table
+    encoder.decode_document(fast_blobs[0], dictionary)  # symmetric warm-up
     fast_decode_elapsed = _best_of(rounds, run_fast_decode)
 
     roundtrip_ok = fast_decoded == documents and seed_decoded == documents
@@ -435,8 +439,8 @@ def fastpath_benchmark(
     # excluded from both): seed decodes every request; the fast side runs
     # the store's serving semantics — an LRU of decoded documents
     # (move-to-end on hit, evict-oldest on overflow, exactly as
-    # ``RlzStore._cache_lookup``/``_cache_store`` do) with misses going
-    # through the batch decoder.  Served bytes are verified below.
+    # ``RlzStore._cache_lookup``/``_cache_store`` do) with misses
+    # decoded from their blobs.  Served bytes are verified below.
     # ------------------------------------------------------------------
     from collections import OrderedDict
 
@@ -462,7 +466,7 @@ def fastpath_benchmark(
         for index in access_log:
             document = cache.get(index)
             if document is None:
-                document = decode_many([streams[index]], dictionary)[0]
+                document = encoder.decode_document(fast_blobs[index], dictionary)
                 cache[index] = document
                 if len(cache) > cache_size:
                     cache.popitem(last=False)
@@ -530,7 +534,7 @@ def fastpath_benchmark(
     table.add_note(
         "headline decode speedup is the serving workload (query log, "
         f"x{serving_repeats} repeated access, store-semantics LRU of {cache_size} "
-        "+ batch decoder, disk I/O excluded from both sides)"
+        "+ PairEncoder.decode_document, disk I/O excluded from both sides)"
     )
     table.add_note(
         f"collection: {collection.name}, {total_bytes:,} bytes, "
@@ -684,9 +688,7 @@ def large_dictionary_benchmark(
     blobs = [
         encoder.encode_streams(positions, lengths) for positions, lengths in fast_streams
     ]
-    decoded = decode_many(
-        [encoder.decode_streams(blob) for blob in blobs], dictionary
-    )
+    decoded = [encoder.decode_document(blob, dictionary) for blob in blobs]
     roundtrip_ok = decoded == documents
     stats = suffix_array.acceleration_stats()
     jump_bytes_per_dict_byte = stats["jump_nbytes"] / len(dictionary)

@@ -695,19 +695,12 @@ def verify_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro verify: cannot verify {path!r}: {exc}", file=sys.stderr)
             status = 1
         else:
-            if report["verifiable"]:
-                print(
-                    f"{path}: OK ({report['store_type']} store, "
-                    f"{report['documents']} documents, "
-                    f"{report['extents_checked']} extents, "
-                    f"{report['bytes_checked']:,} payload bytes verified)"
-                )
-            else:
-                print(
-                    f"{path}: legacy {report['format']} container has no "
-                    f"checksums; rebuild with this version to enable "
-                    f"verification"
-                )
+            print(
+                f"{path}: OK ({report['store_type']} store, "
+                f"{report['documents']} documents, "
+                f"{report['extents_checked']} extents, "
+                f"{report['bytes_checked']:,} payload bytes verified)"
+            )
     return status
 
 

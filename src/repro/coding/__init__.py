@@ -20,7 +20,7 @@ from .fixed import FixedWidthCodec, U32Codec, U64Codec
 from .pfordelta import PForDeltaCodec
 from .registry import available_codecs, make_codec, register_codec
 from .simple9 import Simple9Codec
-from .vbyte import VByteCodec, decode_vbyte, decode_vbyte_array, encode_vbyte
+from .vbyte import VByteCodec, decode_vbyte, encode_vbyte
 from .zlib_codec import ZlibCodec
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ZlibCodec",
     "available_codecs",
     "decode_vbyte",
-    "decode_vbyte_array",
     "encode_vbyte",
     "make_codec",
     "register_codec",

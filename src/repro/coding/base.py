@@ -13,21 +13,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import DecodingError
 
-__all__ = ["IntegerCodec", "as_int_array", "check_non_negative"]
-
-
-def as_int_array(values: Sequence[int]) -> np.ndarray:
-    """``values`` as an ``int64`` array, or an ``object`` array when one of
-    them does not fit in 63 bits (so ``.tolist()`` always returns exactly
-    the decoded integers)."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+__all__ = ["IntegerCodec", "check_non_negative"]
 
 
 def check_non_negative(values: Sequence[int], codec_name: str) -> None:
@@ -60,13 +48,6 @@ class IntegerCodec(ABC):
         Implementations must raise :class:`repro.errors.DecodingError` when
         ``data`` is truncated or malformed.
         """
-
-    def decode_array(self, data: bytes, count: int) -> np.ndarray:
-        """:meth:`decode` as an integer array (see :func:`as_int_array`).
-
-        Codecs that can decode straight into an array override this.
-        """
-        return as_int_array(self.decode(data, count))
 
     def decode_all(self, data: bytes) -> list[int]:
         """Decode every integer in ``data`` (only for self-delimiting codecs)."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
-import numpy as np
-
 from ..errors import DecodingError
 from .base import IntegerCodec, check_non_negative
 
@@ -57,14 +55,6 @@ class FixedWidthCodec(IntegerCodec):
     def decode(self, data: bytes, count: int) -> List[int]:
         self._check_size(data, count)
         return list(struct.unpack_from(f"<{count}{self._format}", data))
-
-    def decode_array(self, data: bytes, count: int) -> np.ndarray:
-        self._check_size(data, count)
-        words = np.frombuffer(data, dtype=f"<u{self._width}", count=count)
-        if self._width == 8 and count and int(words.max()) >> 63:
-            # Above int64: keep the exact values as Python integers.
-            return np.array(words.tolist(), dtype=object)
-        return words.astype(np.int64)
 
     def decode_all(self, data: bytes) -> List[int]:
         if len(data) % self._width:

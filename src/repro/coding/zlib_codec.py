@@ -15,8 +15,6 @@ from __future__ import annotations
 import zlib
 from typing import List, Sequence
 
-import numpy as np
-
 from ..errors import DecodingError
 from .base import IntegerCodec
 from .fixed import U32Codec
@@ -57,9 +55,6 @@ class ZlibCodec(IntegerCodec):
 
     def decode(self, data: bytes, count: int) -> List[int]:
         return self._inner.decode(_inflate(data), count)
-
-    def decode_array(self, data: bytes, count: int) -> np.ndarray:
-        return self._inner.decode_array(_inflate(data), count)
 
     def decode_all(self, data: bytes) -> List[int]:
         return self._inner.decode_all(_inflate(data))

@@ -22,7 +22,7 @@ from .compressor import (
     CompressionReport,
     RlzCompressor,
 )
-from .decoder import decode_factors, decode_many, decode_pairs
+from .decoder import decode_factors, decode_pairs
 from .dictionary import (
     DictionaryConfig,
     RlzDictionary,
@@ -60,7 +60,6 @@ __all__ = [
     "RlzFactorizer",
     "build_dictionary",
     "decode_factors",
-    "decode_many",
     "decode_pairs",
     "iterative_resample",
     "length_histogram",

@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..corpus.document import DocumentCollection
 from ..errors import DictionaryError
 from ..suffix import SuffixArray
@@ -93,7 +91,6 @@ class RlzDictionary:
         self._sa_algorithm = sa_algorithm
         self._accelerated = accelerated
         self._suffix_array: Optional[SuffixArray] = None
-        self._decode_table = None
 
     @classmethod
     def from_prebuilt(
@@ -153,21 +150,6 @@ class RlzDictionary:
                 accelerated=self._accelerated,
             )
         return self._suffix_array
-
-    @property
-    def decode_table(self):
-        """uint8 array of the dictionary bytes followed by the 256 byte values.
-
-        The vectorized decoder reconstructs documents with a single gather
-        out of this table: copy factors index into the dictionary region and
-        a literal of byte value ``b`` indexes position ``len(dictionary) + b``
-        in the appended identity region.  Built once, on first use.
-        """
-        if self._decode_table is None:
-            self._decode_table = np.frombuffer(
-                self._data + bytes(range(256)), dtype=np.uint8
-            )
-        return self._decode_table
 
     def extended(self, extra: bytes) -> "RlzDictionary":
         """A new dictionary with ``extra`` bytes appended (Section 3.6).

@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
-
 from ..coding import IntegerCodec, U32Codec, VByteCodec, ZlibCodec, encode_vbyte, make_codec
 from ..errors import DecodingError, EncodingError
 from . import native
@@ -178,19 +176,15 @@ class PairEncoder:
     # ------------------------------------------------------------------
     def decode_streams(self, blob: bytes) -> Tuple[List[int], List[int]]:
         """Decode a blob back into its (positions, lengths) streams."""
-        return self._decode(blob, as_arrays=False)
-
-    def decode_arrays(self, blob: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`decode_streams` as integer arrays (the codecs' ``decode_array``).
-
-        The Python path of :meth:`decode_window` locates a window's factors
-        with array arithmetic on these.  The Python path of
-        :meth:`decode_document` keeps the lists:
-        :func:`repro.core.decode_pairs` consumes lists, and numpy releases
-        the GIL inside every large array operation, which on a busy server
-        hands the decode thread's turn away several times per document.
-        """
-        return self._decode(blob, as_arrays=True)
+        count, position_size, offset = self._read_header(blob)
+        position_end = offset + position_size
+        if position_end > len(blob):
+            raise DecodingError("encoded document truncated in position stream")
+        positions = self._scheme.position_codec.decode(blob[offset:position_end], count)
+        lengths = self._scheme.length_codec.decode(blob[position_end:], count)
+        if len(positions) != count or len(lengths) != count:
+            raise DecodingError("stream lengths disagree with factor count")
+        return positions, lengths
 
     def decode_document(self, blob: bytes, dictionary: "RlzDictionary") -> bytes:
         """Decode a blob straight to the document's bytes.
@@ -233,50 +227,34 @@ class PairEncoder:
             )
             if result is not None:
                 return result
-        return self._decode_window_arrays(blob, dictionary, start, length)
+        return self._decode_window_python(blob, dictionary, start, length)
 
-    def _decode_window_arrays(
+    def _decode_window_python(
         self, blob: bytes, dictionary: "RlzDictionary", start: int, length: int
     ) -> Tuple[bytes, int]:
-        """The Python window path: one ``np.cumsum`` of the per-factor output
-        lengths gives every factor's end offset, two ``np.searchsorted``
-        calls find the covering range ``[first, last]``, and
+        """The Python window path: one walk over the length stream (a
+        literal outputs one byte) finds the covering factors
+        ``[first, last]``, stopping at the last one, and
         :func:`repro.core.decode_pairs` runs on that sub-range only."""
-        positions, lengths = self.decode_arrays(blob)
-        # A literal factor (length 0) outputs exactly one byte.
-        factor_ends = np.cumsum(np.maximum(lengths, 1))
-        end = min(start + length, int(factor_ends[-1]) if len(factor_ends) else 0)
-        if start >= end:
+        positions, lengths = self.decode_streams(blob)
+        stop = start + length
+        first = skip = None
+        end = 0
+        for last, factor_length in enumerate(lengths):
+            factor_start, end = end, end + (factor_length or 1)
+            if first is None and end > start:
+                first, skip = last, start - factor_start
+            if end >= stop:
+                break
+        if first is None or not length:
             return b"", 0
-        first = int(np.searchsorted(factor_ends, start, side="right"))
-        last = int(np.searchsorted(factor_ends, end, side="left"))
-        skip = start - (int(factor_ends[first - 1]) if first else 0)
         covering = decode_pairs(
-            positions[first : last + 1].tolist(),
-            lengths[first : last + 1].tolist(),
-            dictionary,
+            positions[first : last + 1], lengths[first : last + 1], dictionary
         )
-        return bytes(covering[skip : skip + (end - start)]), len(covering)
+        return covering[skip : skip + length], len(covering)
 
     def _kernel(self) -> Optional[native.Kernel]:
         return native.kernel() if self._kernel_layout is not None else None
-
-    def _decode(self, blob: bytes, as_arrays: bool):
-        count, position_size, offset = self._read_header(blob)
-        position_end = offset + position_size
-        if position_end > len(blob):
-            raise DecodingError("encoded document truncated in position stream")
-        position_codec = self._scheme.position_codec
-        length_codec = self._scheme.length_codec
-        if as_arrays:
-            positions = position_codec.decode_array(blob[offset:position_end], count)
-            lengths = length_codec.decode_array(blob[position_end:], count)
-        else:
-            positions = position_codec.decode(blob[offset:position_end], count)
-            lengths = length_codec.decode(blob[position_end:], count)
-        if len(positions) != count or len(lengths) != count:
-            raise DecodingError("stream lengths disagree with factor count")
-        return positions, lengths
 
     def decode(self, blob: bytes) -> Factorization:
         """Decode a blob back into a :class:`Factorization`."""

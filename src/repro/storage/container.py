@@ -24,12 +24,16 @@ The checksum section makes corruption *detectable* instead of silent:
 * a table of ``(offset, length, crc32)`` entries covering every payload
   extent a reader will ever fetch (per document for ``rlz``/``raw``, per
   compressed block for ``blocked``).  Stores check the CRC on every
-  positioned read, and :func:`verify_container` scans the whole table
-  offline (``repro verify``).
+  positioned read — an extent missing from the table is refused too, since
+  the table entries themselves sit outside the header CRC — and
+  :func:`verify_container` scans the whole table offline (``repro
+  verify``).
 
-Containers written by earlier versions start with ``b"RPRC1\\n"`` and have
-no checksum section; they still open and read (``checksums`` is ``None``)
-but cannot be verified.
+Every section length is checked against the bytes left in the file before
+it is read, so a damaged length field raises :class:`StorageError` instead
+of allocating what it declares.  Containers of the checksum-less first
+version (``b"RPRC1\\n"``) are refused with a :class:`StorageError` that
+names the version; rebuild them with ``repro compress``.
 
 Writes are atomic: the container is built in a same-directory temporary
 file, fsync'd, then :func:`os.replace`\\ d into place — a build killed
@@ -42,7 +46,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple
 
@@ -53,12 +57,10 @@ __all__ = [
     "ContainerHeader",
     "write_container",
     "read_container_header",
-    "open_payload",
     "verify_container",
 ]
 
 _MAGIC = b"RPRC2\n"
-_MAGIC_V1 = b"RPRC1\n"
 _CHECKSUM_HEAD = struct.Struct("<II")  # header crc, extent count
 _CHECKSUM_EXTENT = struct.Struct("<QQI")  # payload offset, length, crc
 
@@ -73,24 +75,22 @@ class ContainerHeader:
     dictionary: bytes
     payload_offset: int
     path: Path
-    #: ``(offset, length) -> crc32`` over payload extents; ``None`` for
-    #: legacy RPRC1 containers that carry no checksum section.
-    checksums: Optional[Dict[Tuple[int, int], int]] = field(default=None)
-
-    def expected_crc(self, offset: int, length: int) -> Optional[int]:
-        """CRC recorded for the payload extent, or ``None`` if unknown."""
-        if not self.checksums:
-            return None
-        return self.checksums.get((offset, length))
+    #: ``(offset, length) -> crc32`` over payload extents.
+    checksums: Dict[Tuple[int, int], int]
 
     def check_extent(self, offset: int, length: int, data: bytes) -> None:
         """Verify one payload read against the checksum table.
 
-        No-op when the container predates checksums or the extent is not
-        in the table; raises :class:`CorruptArchiveError` on mismatch.
+        Raises :class:`CorruptArchiveError` when the extent is not in the
+        table or its CRC does not match.
         """
-        expected = self.expected_crc(offset, length)
-        if expected is not None and zlib.crc32(data) != expected:
+        expected = self.checksums.get((offset, length))
+        if expected is None:
+            raise CorruptArchiveError(
+                f"{self.path}: payload extent at offset {offset} "
+                f"({length} bytes) is not in the checksum table"
+            )
+        if zlib.crc32(data) != expected:
             raise CorruptArchiveError(
                 f"{self.path}: payload extent at offset {offset} "
                 f"({length} bytes) failed its CRC32 check"
@@ -182,11 +182,11 @@ def write_container(
     return total
 
 
-def _parse_checksums(table: bytes, path: Path, header_bytes: bytes) -> Dict[Tuple[int, int], int]:
+def _parse_checksums(table: bytes, path: Path, header_crc: int) -> Dict[Tuple[int, int], int]:
     if len(table) < _CHECKSUM_HEAD.size:
         raise StorageError(f"{path}: checksum section truncated")
-    header_crc, count = _CHECKSUM_HEAD.unpack_from(table, 0)
-    if zlib.crc32(header_bytes) != header_crc:
+    recorded_crc, count = _CHECKSUM_HEAD.unpack_from(table, 0)
+    if header_crc != recorded_crc:
         raise CorruptArchiveError(
             f"{path}: container header failed its CRC32 check"
         )
@@ -205,49 +205,39 @@ def _parse_checksums(table: bytes, path: Path, header_bytes: bytes) -> Dict[Tupl
 def read_container_header(path: str | Path) -> ContainerHeader:
     """Read and parse the header sections of a container file.
 
-    For RPRC2 containers the whole header (every byte before the checksum
-    section) is CRC-verified *before* the metadata or document map is
-    parsed, so a flipped header byte raises :class:`CorruptArchiveError`
-    instead of producing a parse error — or worse, a quietly wrong
-    archive.
+    The whole header (every byte before the checksum section) is
+    CRC-verified *before* the metadata or document map is parsed, so a
+    flipped header byte raises :class:`CorruptArchiveError` instead of
+    producing a parse error — or worse, a quietly wrong archive.
     """
     path = Path(path)
     with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         magic = handle.read(len(_MAGIC))
-        if magic not in (_MAGIC, _MAGIC_V1):
-            raise StorageError(f"{path} is not a repro container (bad magic {magic!r})")
-        # Read the header sections raw first; parsing waits until the
-        # header CRC has vouched for the bytes.
-        type_length_raw = _read_exact(handle, 2)
-        (type_length,) = struct.unpack("<H", type_length_raw)
-        type_bytes = _read_exact(handle, type_length)
-        metadata_length_raw = _read_exact(handle, 8)
-        (metadata_length,) = struct.unpack("<Q", metadata_length_raw)
-        metadata_bytes = _read_exact(handle, metadata_length)
-        map_length_raw = _read_exact(handle, 8)
-        (map_length,) = struct.unpack("<Q", map_length_raw)
-        map_bytes = _read_exact(handle, map_length)
-        dictionary_length_raw = _read_exact(handle, 8)
-        (dictionary_length,) = struct.unpack("<Q", dictionary_length_raw)
-        dictionary = _read_exact(handle, dictionary_length)
-        checksums: Optional[Dict[Tuple[int, int], int]] = None
-        if magic == _MAGIC:
-            header_bytes = b"".join(
-                (
-                    magic,
-                    type_length_raw,
-                    type_bytes,
-                    metadata_length_raw,
-                    metadata_bytes,
-                    map_length_raw,
-                    map_bytes,
-                    dictionary_length_raw,
-                    dictionary,
+        if magic != _MAGIC:
+            if magic[:4] == b"RPRC" and magic[5:] == b"\n":
+                raise StorageError(
+                    f"{path} is an unsupported {magic[:5].decode('ascii', 'replace')} "
+                    f"container; rebuild it with this version (repro compress)"
                 )
-            )
-            (table_length,) = struct.unpack("<Q", _read_exact(handle, 8))
-            table = _read_exact(handle, table_length)
-            checksums = _parse_checksums(table, path, header_bytes)
+            raise StorageError(f"{path} is not a repro container (bad magic {magic!r})")
+        crc = zlib.crc32(magic)
+
+        def section(prefix: str) -> bytes:
+            # Sections are read raw and only CRC'd here; parsing waits until
+            # the header CRC has vouched for the bytes.
+            nonlocal crc
+            raw = _read(handle, struct.calcsize(prefix), size, path)
+            data = _read(handle, struct.unpack(prefix, raw)[0], size, path)
+            crc = zlib.crc32(data, zlib.crc32(raw, crc))
+            return data
+
+        type_bytes = section("<H")
+        metadata_bytes = section("<Q")
+        map_bytes = section("<Q")
+        dictionary = section("<Q")
+        header_crc = crc
+        checksums = _parse_checksums(section("<Q"), path, header_crc)
         payload_offset = handle.tell()
     try:
         store_type = type_bytes.decode("ascii")
@@ -256,8 +246,8 @@ def read_container_header(path: str | Path) -> ContainerHeader:
     except CorruptArchiveError:
         raise
     except Exception as exc:
-        # Unverifiable (legacy) containers can still present damaged
-        # sections; surface one typed error instead of a parser traceback.
+        # A header that passes its CRC can still be malformed; surface one
+        # typed error instead of a parser traceback.
         raise StorageError(f"{path}: container header does not parse: {exc}") from exc
     return ContainerHeader(
         store_type=store_type,
@@ -277,39 +267,33 @@ def verify_container(path: str | Path) -> Dict[str, Any]:
     dictionary sections), then reads every checksummed payload extent and
     recomputes its CRC32.  A single flipped byte anywhere in a covered
     extent raises :class:`CorruptArchiveError`; structural damage
-    (truncation, bad magic) raises :class:`StorageError`.
+    (truncation, bad magic, an RPRC1 file) raises :class:`StorageError`.
 
     Returns a report::
 
         {"path", "store_type", "format", "documents",
-         "extents_checked", "bytes_checked", "verifiable"}
-
-    Legacy RPRC1 containers parse but carry no checksums; they come back
-    with ``verifiable=False`` and nothing checked.
+         "extents_checked", "bytes_checked"}
     """
     path = Path(path)
     header = read_container_header(path)
     report: Dict[str, Any] = {
         "path": str(path),
         "store_type": header.store_type,
-        "format": "RPRC2" if header.checksums is not None else "RPRC1",
+        "format": "RPRC2",
         "documents": len(header.document_map),
         "extents_checked": 0,
         "bytes_checked": 0,
-        "verifiable": header.checksums is not None,
     }
-    if header.checksums is None:
-        return report
-    file_size = path.stat().st_size
     with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         for (offset, length), crc in header.checksums.items():
-            if header.payload_offset + offset + length > file_size:
+            if header.payload_offset + offset + length > size:
                 raise StorageError(
                     f"{path}: payload truncated (extent at offset {offset} "
                     f"extends past end of file)"
                 )
             handle.seek(header.payload_offset + offset)
-            data = _read_exact(handle, length)
+            data = _read(handle, length, size, path)
             if zlib.crc32(data) != crc:
                 raise CorruptArchiveError(
                     f"{path}: payload extent at offset {offset} "
@@ -320,13 +304,19 @@ def verify_container(path: str | Path) -> Dict[str, Any]:
     return report
 
 
-def open_payload(header: ContainerHeader) -> BinaryIO:
-    """Open the container for payload reads (caller seeks relative to payload)."""
-    return header.path.open("rb")
+def _read(handle: BinaryIO, length: int, size: int, path: Path) -> bytes:
+    """``length`` bytes from the handle's position in a ``size``-byte file.
 
-
-def _read_exact(handle: BinaryIO, length: int) -> bytes:
+    No length field is trusted: one that exceeds the bytes left in the file
+    raises :class:`StorageError` before anything is allocated.
+    """
+    left = size - handle.tell()
+    if length > left:
+        raise StorageError(
+            f"{path}: container truncated ({length} bytes declared, "
+            f"{max(left, 0)} left in the file)"
+        )
     data = handle.read(length)
     if len(data) != length:
-        raise StorageError("container file truncated")
+        raise StorageError(f"{path}: container truncated")
     return data

@@ -1,17 +1,16 @@
-"""``decode_array`` parity: the array decode and the list decode agree.
+"""Codec decode contracts against independent oracles.
 
-Every codec's ``decode_array(data, count).tolist()`` must equal its
-``decode(data, count)`` — same values, or the same :class:`DecodingError`
-— on valid streams, truncated streams, and counts shorter or longer than
-the stream.  Every vbyte decoder is also held against a digit-by-digit
-reference decoder, and the fixed-width list decode against ``struct``.
+Every codec's decode returns a prefix of the encoded values or raises
+:class:`DecodingError` on truncated streams and on counts shorter or longer
+than the stream.  The vbyte decode is held against a digit-by-digit
+reference decoder (same values, or the same error), and the fixed-width
+decode against ``struct``.
 """
 
 from __future__ import annotations
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +21,6 @@ from repro.coding import (
     VByteCodec,
     ZlibCodec,
     decode_vbyte,
-    decode_vbyte_array,
     encode_vbyte,
 )
 from repro.errors import DecodingError
@@ -37,14 +35,6 @@ CODECS = {
     "zlib[vbyte]": (ZlibCodec(inner=VByteCodec()), 2**64),
     "gamma": (EliasGammaCodec(), 2**64),
 }
-
-
-#: Every vbyte decoder, as ``(data, count) -> list``: the list decode and
-#: the array decode.
-VBYTE_DECODERS = [
-    decode_vbyte,
-    lambda data, count: decode_vbyte_array(data, count).tolist(),
-]
 
 
 def _outcome(decode):
@@ -93,26 +83,24 @@ def streams(draw, limit):
 @pytest.mark.parametrize("name", sorted(CODECS))
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_decode_array_matches_decode(name, data):
+def test_decode_returns_a_prefix_or_a_typed_error(name, data):
+    """Truncated streams and counts off by a few values give a list or a
+    :class:`DecodingError`, and a count within an intact stream gives its
+    first ``count`` values."""
     codec, limit = CODECS[name]
     values, count, cut = data.draw(streams(limit))
     encoded = codec.encode(values)
     encoded = encoded[: len(encoded) - cut] if cut else encoded
-    as_list = _outcome(lambda: codec.decode(encoded, count))
-    as_array = _outcome(lambda: codec.decode_array(encoded, count))
-    if as_list is DecodingError:
-        assert as_array is DecodingError
-    else:
-        assert isinstance(as_array, np.ndarray)
-        assert as_array.tolist() == as_list
+    decoded = _outcome(lambda: codec.decode(encoded, count))
+    assert decoded is DecodingError or isinstance(decoded, list)
     if not cut and 0 < count <= len(values) and name != "gamma":
-        assert as_list == values[:count]
+        assert decoded == values[:count]
 
 
 @st.composite
 def sparse_streams(draw):
-    """Mostly single-byte values with a few multi-byte ones: the streams
-    :func:`decode_vbyte` decodes without numpy."""
+    """Mostly single-byte values with a few multi-byte ones, like a factor
+    length stream."""
     values = draw(
         st.lists(st.integers(min_value=0, max_value=127), min_size=64, max_size=300)
     )
@@ -131,8 +119,7 @@ def test_vbyte_matches_scalar_oracle(stream, counted):
     encoded = encoded[: len(encoded) - cut] if cut else encoded
     count = count if counted else None
     expected = _outcome(lambda: _scalar_vbyte(encoded, count))
-    for decode in VBYTE_DECODERS:
-        assert _outcome(lambda: decode(encoded, count)) == expected, decode
+    assert _outcome(lambda: decode_vbyte(encoded, count)) == expected
 
 
 @pytest.mark.parametrize("codec, fmt", [(U32Codec(), "I"), (U64Codec(), "Q")])
@@ -151,13 +138,12 @@ def test_fixed_width_matches_struct(codec, fmt, data):
 
 def test_vbyte_edge_values_round_trip_exactly():
     encoded = encode_vbyte(EDGES)
-    decoded = decode_vbyte_array(encoded, len(EDGES))
     # Values past 63 bits keep their exact Python integers.
-    assert decoded.tolist() == EDGES
-    assert decode_vbyte_array(encode_vbyte(EDGES[:7])).dtype == np.int64
+    assert decode_vbyte(encoded, len(EDGES)) == EDGES
+    assert decode_vbyte(encoded) == EDGES
 
 
-@pytest.mark.parametrize("decode", VBYTE_DECODERS)
+@pytest.mark.parametrize("decode", [decode_vbyte])
 def test_vbyte_count_contract(decode):
     data = encode_vbyte([1, 300, 3])
     assert decode(data, 2) == [1, 300]
@@ -178,4 +164,4 @@ def test_vbyte_count_contract(decode):
 
 def test_fixed_width_rejects_negative_count():
     with pytest.raises(DecodingError):
-        U32Codec().decode_array(b"\x00" * 8, -1)
+        U32Codec().decode(b"\x00" * 8, -1)

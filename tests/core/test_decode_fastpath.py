@@ -1,15 +1,9 @@
-"""Tests for the batch/vectorized decode fast path."""
+"""Tests for the Python decoder's contract: validate every factor before
+copying, and the same typed errors from every entry point."""
 
 import pytest
 
-from repro.core import (
-    Factor,
-    RlzDictionary,
-    decode_factors,
-    decode_many,
-    decode_pairs,
-)
-from repro.core.decoder import _decode_scalar, _decode_vector
+from repro.core import Factor, RlzDictionary, decode_factors, decode_pairs
 from repro.errors import DecodingError
 
 
@@ -18,52 +12,29 @@ def dictionary():
     return RlzDictionary(bytes(range(256)) + b"hello world " * 20)
 
 
-def test_scalar_and_vector_paths_agree(dictionary):
-    positions = [0, 65, 256, 10, 300, 255]
-    lengths = [5, 0, 12, 0, 1, 0]
-    expected = _decode_scalar(positions, lengths, dictionary.data)
-    assert _decode_vector(positions, lengths, dictionary) == expected
+def test_short_factor_streams_take_identical_output(dictionary):
+    # Many literal/1-byte factors, held against a byte-at-a-time oracle.
+    positions = list(range(64)) * 4
+    lengths = [0, 1] * 128
+    expected = bytes(
+        position if length == 0 else dictionary.data[position]
+        for position, length in zip(positions, lengths)
+    )
     assert decode_pairs(positions, lengths, dictionary) == expected
 
 
-def test_short_factor_streams_take_identical_output(dictionary):
-    # Many literal/1-byte factors: the heuristic picks the vectorized path.
-    positions = list(range(64)) * 4
-    lengths = [0, 1] * 128
-    assert decode_pairs(positions, lengths, dictionary) == _decode_scalar(
-        positions, lengths, dictionary.data
-    )
-
-
-def test_decode_many_matches_per_document_decode(dictionary):
-    docs = [
-        ([0, 65], [4, 0]),
-        ([], []),
-        ([256, 10, 267], [12, 0, 6]),
-        ([5], [200]),
-    ]
-    expected = [decode_pairs(p, l, dictionary) for p, l in docs]
-    assert decode_many(docs, dictionary) == expected
-
-
-def test_decode_many_empty(dictionary):
-    assert decode_many([], dictionary) == []
-    assert decode_many([([], []), ([], [])], dictionary) == [b"", b""]
-
-
-def test_decode_many_mismatched_stream_raises(dictionary):
-    with pytest.raises(DecodingError):
-        decode_many([([1, 2], [3])], dictionary)
-
-
 def test_validation_happens_before_any_copy(dictionary):
-    # A bad factor *after* valid ones must raise on both paths.
+    # A bad factor *after* valid ones must raise.
     limit = len(dictionary.data)
     with pytest.raises(DecodingError):
         decode_pairs([0, limit], [4, 10], dictionary)
-    many = [([0], [4]), ([limit - 1], [2])]
     with pytest.raises(DecodingError):
-        decode_many(many, dictionary)
+        decode_pairs([0, limit - 1], [4, 2], dictionary)
+
+
+def test_mismatched_streams_raise(dictionary):
+    with pytest.raises(DecodingError, match="mismatch"):
+        decode_pairs([1, 2], [3], dictionary)
 
 
 def test_negative_length_rejected(dictionary):

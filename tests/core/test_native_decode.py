@@ -246,7 +246,7 @@ def _assert_window(kernel, scheme, blob, dictionary, lengths, start, length):
     assert covered == covering_charge(lengths, start, length), (start, length)
     clamped = min(start, 2**63 - 1), min(length, 2**63 - 1)
     assert _raw_window(kernel, encoder, blob, dictionary, *clamped) == (window, covered)
-    assert encoder._decode_window_arrays(blob, dictionary, start, length) == (window, covered)
+    assert encoder._decode_window_python(blob, dictionary, start, length) == (window, covered)
 
 
 @given(scheme=st.sampled_from(PAPER_SCHEMES), document=documents(), data=st.data())
@@ -384,7 +384,7 @@ def test_window_over_corrupt_streams_matches_python(kernel, scheme, document, ba
     assert _raw_window(kernel, encoder, blob, dictionary, *clamped) is None
     assert _outcome(
         lambda: encoder.decode_window(blob, dictionary, start, length)
-    ) == _outcome(lambda: encoder._decode_window_arrays(blob, dictionary, start, length))
+    ) == _outcome(lambda: encoder._decode_window_python(blob, dictionary, start, length))
     with pytest.raises(DecodingError):
         encoder.decode_document(blob, dictionary)
 
@@ -455,7 +455,7 @@ def test_concurrent_decodes_match_the_python_decoder(kernel):
         tasks.append((encoder, blob, None, document))
         for _ in range(3):
             start, length = rng.randrange(len(document)), rng.randrange(1, 400)
-            window = encoder._decode_window_arrays(blob, dictionary, start, length)
+            window = encoder._decode_window_python(blob, dictionary, start, length)
             tasks.append((encoder, blob, (start, length), window))
     failures = []
 

@@ -8,9 +8,12 @@ mid-write leaves no openable partial archive.
 from __future__ import annotations
 
 import os
+import struct
+import tracemalloc
 
 import pytest
 
+from repro.cli import verify_main
 from repro.core import DictionaryConfig, RlzCompressor
 from repro.errors import CorruptArchiveError, StorageError
 from repro.storage import (
@@ -33,26 +36,21 @@ def small_collection(gov_small):
 
 @pytest.fixture()
 def rlz_path(tmp_path, small_collection):
-    compressor = RlzCompressor(
-        dictionary_config=DictionaryConfig(size=16 * 1024, sample_size=512), scheme="ZZ"
-    )
     path = tmp_path / "a.rlz"
-    RlzStore.write(compressor.compress(small_collection), path)
+    _build_store("rlz", path, small_collection)
     return path
 
 
 def test_verify_fresh_containers_report_ok(tmp_path, small_collection, rlz_path):
     blocked = tmp_path / "a.blocked"
-    BlockedStore.build(
-        small_collection, blocked, BlockedStoreConfig("zlib", block_size=16 * 1024)
-    )
+    _build_store("blocked", blocked, small_collection)
     raw = tmp_path / "a.raw"
-    RawStore.build(small_collection, raw)
+    _build_store("raw", raw, small_collection)
     for path in (rlz_path, blocked, raw):
         report = verify_container(path)
-        assert report["verifiable"] is True
+        header = read_container_header(path)
         assert report["format"] == "RPRC2"
-        assert report["extents_checked"] > 0
+        assert report["extents_checked"] == len(header.checksums) > 0
         assert report["bytes_checked"] > 0
         assert report["documents"] == len(small_collection)
 
@@ -74,7 +72,25 @@ def test_single_flipped_byte_anywhere_is_detected(rlz_path):
         with pytest.raises((CorruptArchiveError, StorageError)):
             verify_container(rlz_path)
     rlz_path.write_bytes(original)
-    assert verify_container(rlz_path)["verifiable"] is True
+    report = verify_container(rlz_path)
+    assert report["extents_checked"] == report["documents"]
+
+
+def _build_store(kind, path, collection):
+    if kind == "rlz":
+        compressor = RlzCompressor(
+            dictionary_config=DictionaryConfig(size=16 * 1024, sample_size=512),
+            scheme="ZZ",
+        )
+        RlzStore.write(compressor.compress(collection), path)
+        return RlzStore.open
+    if kind == "blocked":
+        BlockedStore.build(
+            collection, path, BlockedStoreConfig("zlib", block_size=16 * 1024)
+        )
+        return BlockedStore.open
+    RawStore.build(collection, path)
+    return RawStore.open
 
 
 @pytest.mark.parametrize("store_kind", ["rlz", "blocked", "raw"])
@@ -83,21 +99,7 @@ def test_payload_flip_raises_corrupt_archive_on_read(
 ):
     """The serving read path itself (not just offline verify) checks CRCs."""
     path = tmp_path / f"a.{store_kind}"
-    if store_kind == "rlz":
-        compressor = RlzCompressor(
-            dictionary_config=DictionaryConfig(size=16 * 1024, sample_size=512),
-            scheme="ZZ",
-        )
-        RlzStore.write(compressor.compress(small_collection), path)
-        opener = RlzStore.open
-    elif store_kind == "blocked":
-        BlockedStore.build(
-            small_collection, path, BlockedStoreConfig("zlib", block_size=16 * 1024)
-        )
-        opener = BlockedStore.open
-    else:
-        RawStore.build(small_collection, path)
-        opener = RawStore.open
+    opener = _build_store(store_kind, path, small_collection)
     header = read_container_header(path)
     data = bytearray(path.read_bytes())
     data[header.payload_offset + 3] ^= 0x40
@@ -151,13 +153,13 @@ def test_interrupted_rebuild_preserves_the_old_archive(tmp_path, monkeypatch):
         )
     monkeypatch.setattr(container_module.os, "fsync", real_fsync)
     assert target.read_bytes() == good
-    assert verify_container(target)["verifiable"] is True
+    report = verify_container(target)
+    assert report["extents_checked"] == report["documents"] == 1
 
 
-def test_legacy_rprc1_container_still_opens(tmp_path, small_collection):
-    """Old archives (no checksum section) read fine but report unverifiable."""
-    import struct as structlib
-
+def test_rprc1_container_is_refused_with_a_typed_error(tmp_path, small_collection, capsys):
+    """The checksum-less first format is no longer read: opening or
+    verifying one raises a StorageError that names it."""
     document_map = DocumentMap()
     payload = bytearray()
     for document in small_collection:
@@ -172,16 +174,90 @@ def test_legacy_rprc1_container_still_opens(tmp_path, small_collection):
     path = tmp_path / "legacy.repro"
     with path.open("wb") as handle:
         handle.write(b"RPRC1\n")
-        handle.write(structlib.pack("<H", 3) + b"raw")
-        handle.write(structlib.pack("<Q", len(metadata)) + metadata)
-        handle.write(structlib.pack("<Q", len(map_bytes)) + map_bytes)
-        handle.write(structlib.pack("<Q", 0))
+        handle.write(struct.pack("<H", 3) + b"raw")
+        handle.write(struct.pack("<Q", len(metadata)) + metadata)
+        handle.write(struct.pack("<Q", len(map_bytes)) + map_bytes)
+        handle.write(struct.pack("<Q", 0))
         handle.write(bytes(payload))
 
-    with RawStore.open(path) as store:
-        first = small_collection[0]
-        assert store.get(first.doc_id) == first.content
-    report = verify_container(path)
-    assert report["verifiable"] is False
-    assert report["format"] == "RPRC1"
-    assert report["extents_checked"] == 0
+    for attempt in (lambda: RawStore.open(path), lambda: verify_container(path)):
+        with pytest.raises(StorageError, match="RPRC1.*rebuild") as caught:
+            attempt()
+        assert not isinstance(caught.value, CorruptArchiveError)
+    assert verify_main([str(path)]) == 1
+    assert "RPRC1" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Untrusted section lengths
+# ----------------------------------------------------------------------
+#: Offset of the metadata section's u64 length in a "raw" container.
+_METADATA_LENGTH_AT = 6 + 2 + len(b"raw")
+
+
+def test_huge_declared_section_length_raises_storage_error(tmp_path, small_collection):
+    # A 1 TiB metadata section used to escape as a bare MemoryError.
+    path = tmp_path / "a.raw"
+    RawStore.build(small_collection, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, _METADATA_LENGTH_AT, 1 << 40)
+    path.write_bytes(bytes(data))
+    for attempt in (
+        lambda: read_container_header(path),
+        lambda: RawStore.open(path),
+        lambda: verify_container(path),
+    ):
+        with pytest.raises(StorageError, match="truncated"):
+            attempt()
+
+
+def test_declared_length_is_bounded_before_allocation(tmp_path):
+    # A 300 MB length in a 40-byte file used to allocate 300 MB first.
+    path = tmp_path / "tiny.repro"
+    head = b"RPRC2\n" + struct.pack("<H", 3) + b"raw" + struct.pack("<Q", 300_000_000)
+    path.write_bytes(head + bytes(40 - len(head)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.raises(StorageError):
+            read_container_header(path)
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# ----------------------------------------------------------------------
+# Every payload read is covered by the checksum table
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("store_kind", ["rlz", "blocked", "raw"])
+def test_untabled_extent_is_refused(tmp_path, small_collection, store_kind):
+    """The table entries sit outside the header CRC: re-point one entry
+    and corrupt the extent it covered, and that extent is read unchecked
+    unless a read of an extent missing from the table is refused."""
+    path = tmp_path / f"a.{store_kind}"
+    opener = _build_store(store_kind, path, small_collection)
+    header = read_container_header(path)
+    entry_at = header.payload_offset - 20 * len(header.checksums)
+    data = bytearray(path.read_bytes())
+    offset, length = struct.unpack_from("<QQ", data, entry_at)
+    struct.pack_into("<Q", data, entry_at, offset + (1 << 40))
+    data[header.payload_offset + offset + length // 2] ^= 0x20
+    path.write_bytes(bytes(data))
+
+    expected = {document.doc_id: document.content for document in small_collection}
+    refused = 0
+    with opener(path) as store:
+        for doc_id in store.doc_ids():
+            try:
+                served = store.get(doc_id)
+            except CorruptArchiveError:
+                refused += 1
+            else:
+                assert served == expected[doc_id]
+    assert refused >= 1
+    with pytest.raises(StorageError):
+        verify_container(path)
