@@ -2,7 +2,9 @@
 
 Every experiment in the suite works on one of three collections (GOV2-like
 in crawl order, the same collection URL-sorted, or Wikipedia-like), so they
-are generated once per process at the current scale and memoised here.
+are generated once per process and scale and memoised here.  A caller that
+passes a scale gets that scale's collection; the ``REPRO_BENCH_SCALE``
+environment variable only picks the default.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from ..corpus import (
     generate_wikipedia_collection,
     url_sorted,
 )
-from .scale import BenchScale, current_scale
+from .scale import _SCALES, BenchScale, current_scale
 
 __all__ = ["gov_collection", "gov_collection_url_sorted", "wiki_collection"]
 
 
 @lru_cache(maxsize=4)
 def _gov(scale_name: str) -> DocumentCollection:
-    scale = current_scale() if scale_name == current_scale().name else current_scale()
+    scale = _SCALES[scale_name]
     return generate_gov_collection(
         num_documents=scale.gov_documents,
         target_document_size=scale.gov_document_size,
@@ -32,7 +34,7 @@ def _gov(scale_name: str) -> DocumentCollection:
 
 @lru_cache(maxsize=4)
 def _wiki(scale_name: str) -> DocumentCollection:
-    scale = current_scale() if scale_name == current_scale().name else current_scale()
+    scale = _SCALES[scale_name]
     return generate_wikipedia_collection(
         num_documents=scale.wiki_documents,
         target_document_size=scale.wiki_document_size,

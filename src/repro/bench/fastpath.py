@@ -13,9 +13,11 @@ Measured pipelines:
 * ``encode/seed``      — per-factor ``searchsorted`` over the full key
   array, lazily built key levels, ``Factor`` objects materialised per
   factor (the seed's ``factorize`` + ``encode``);
-* ``encode/fast``      — the match engine (jump-start index + one
-  lcp-aware bisect per factor) with stream-based factorization
-  (``factorize_streams`` + ``encode_streams``);
+* ``encode/fast``      — the match engine with stream-based factorization
+  (``factorize_streams`` + ``encode_streams``): the native factorize
+  kernel when it loads, else the Python engine;
+* ``encode/python``    — the same with the kernel forced off: the Python
+  engine (jump-start index + one lcp-aware bisect per factor);
 * ``encode/parallel``  — the same fast path fanned out over a
   :class:`repro.core.ParallelCompressor` pool;
 * ``decode/seed``      — the seed's per-factor ``bytearray`` append loop;
@@ -43,6 +45,7 @@ from ..core import (
     RlzDictionary,
     RlzFactorizer,
     build_dictionary,
+    native,
 )
 from ..corpus.document import DocumentCollection
 from .corpora import gov_collection
@@ -387,10 +390,16 @@ def fastpath_benchmark(
             for document in documents
         )
 
-    fast_factorizer.factorize_streams(documents[0])  # warm the index build
+    fast_factorizer.factorize_streams(documents[0])  # warm the engine
     fast_encode_elapsed = _best_of(rounds, run_fast_encode)
 
-    streams_identical = seed_blobs == fast_blobs
+    # The same pass on the Python engine (the native kernel forced off).
+    engine_blobs = list(fast_blobs)
+    with native.python_match_engine():
+        fast_factorizer.factorize_streams(documents[0])  # warm the index build
+        python_encode_elapsed = _best_of(rounds, run_fast_encode)
+
+    streams_identical = seed_blobs == engine_blobs == fast_blobs
 
     pool_workers = workers if workers is not None else (os.cpu_count() or 1)
     pipeline = ParallelCompressor(dictionary, scheme=scheme, workers=pool_workers)
@@ -503,6 +512,12 @@ def fastpath_benchmark(
     table.add_row("encode/seed", seed_encode_elapsed, _throughput(total_bytes, seed_encode_elapsed), 1.0)
     table.add_row("encode/fast", fast_encode_elapsed, _throughput(total_bytes, fast_encode_elapsed), encode_speedup)
     table.add_row(
+        "encode/python",
+        python_encode_elapsed,
+        _throughput(total_bytes, python_encode_elapsed),
+        seed_encode_elapsed / python_encode_elapsed if python_encode_elapsed else 0.0,
+    )
+    table.add_row(
         f"encode/parallel-{pipeline.workers}",
         parallel_encode_elapsed,
         _throughput(total_bytes, parallel_encode_elapsed),
@@ -528,6 +543,7 @@ def fastpath_benchmark(
         serving_speedup,
     )
     table.add_note(f"factor streams byte-identical to seed: {streams_identical}")
+    table.add_note(f"encode/fast match engine: {native.factorizer_name()}")
     table.add_note(f"parallel blobs identical to serial: {parallel_identical}")
     table.add_note(f"round-trip verified against corpus: {roundtrip_ok}")
     table.add_note(f"served bytes verified against corpus: {serving_ok}")
@@ -554,10 +570,13 @@ def fastpath_benchmark(
             "encode": {
                 "seed_seconds": seed_encode_elapsed,
                 "fast_seconds": fast_encode_elapsed,
+                "fast_engine": native.factorizer_name(),
+                "python_seconds": python_encode_elapsed,
                 "parallel_seconds": parallel_encode_elapsed,
                 "parallel_workers": pipeline.workers,
                 "seed_mb_per_s": _throughput(total_bytes, seed_encode_elapsed),
                 "fast_mb_per_s": _throughput(total_bytes, fast_encode_elapsed),
+                "python_mb_per_s": _throughput(total_bytes, python_encode_elapsed),
                 "speedup": encode_speedup,
             },
             "decode": {
@@ -678,19 +697,26 @@ def large_dictionary_benchmark(
             fast_factorizer.factorize_streams(document) for document in documents
         )
 
-    fast_factorizer.factorize_streams(documents[0])  # warm the index build
-    fast_elapsed = _best_of(rounds, run_fast)
-
     suffix_array = dictionary.suffix_array
+    # The jump index under test belongs to the Python engine, so this
+    # measurement runs it even where the native kernel is loaded.
+    with native.python_match_engine():
+        fast_factorizer.factorize_streams(documents[0])  # warm the index build
+        fast_elapsed = _best_of(rounds, run_fast)
+        stats = suffix_array.acceleration_stats()
     jump_kind = suffix_array.jump_index_kind
     jump_active = jump_kind == "compact"
     streams_identical = fast_streams == seed_streams
+    native_elapsed = None
+    if native.factorize_kernel() is not None:
+        python_streams = list(fast_streams)
+        native_elapsed = _best_of(rounds, run_fast)
+        streams_identical = streams_identical and fast_streams == python_streams
     blobs = [
         encoder.encode_streams(positions, lengths) for positions, lengths in fast_streams
     ]
     decoded = [encoder.decode_document(blob, dictionary) for blob in blobs]
     roundtrip_ok = decoded == documents
-    stats = suffix_array.acceleration_stats()
     jump_bytes_per_dict_byte = stats["jump_nbytes"] / len(dictionary)
     # What the same mapping would cost as the PR-1 hash dicts (measured
     # ~120 B per distinct key), for the memory-model comparison.
@@ -703,6 +729,13 @@ def large_dictionary_benchmark(
     )
     table.add_row("encode/seed", seed_elapsed, _throughput(total, seed_elapsed), 1.0)
     table.add_row("encode/fast", fast_elapsed, _throughput(total, fast_elapsed), speedup)
+    if native_elapsed is not None:
+        table.add_row(
+            "encode/native",
+            native_elapsed,
+            _throughput(total, native_elapsed),
+            seed_elapsed / native_elapsed if native_elapsed else 0.0,
+        )
     table.add_note(f"dictionary: {len(dictionary):,} bytes (> 1 MiB gate)")
     table.add_note(f"jump-start active (compact, no fallback): {jump_active}")
     table.add_note(f"factor streams byte-identical to seed: {streams_identical}")
@@ -728,8 +761,12 @@ def large_dictionary_benchmark(
             "encode": {
                 "seed_seconds": seed_elapsed,
                 "fast_seconds": fast_elapsed,
+                "native_seconds": native_elapsed,
                 "seed_mb_per_s": _throughput(total, seed_elapsed),
                 "fast_mb_per_s": _throughput(total, fast_elapsed),
+                "native_mb_per_s": (
+                    _throughput(total, native_elapsed) if native_elapsed else None
+                ),
                 "speedup": speedup,
             },
             "jump_index": {

@@ -996,10 +996,13 @@ def _archive_stats(path: str, exercise: int) -> int:
     Prints the dictionary suffix array's :meth:`acceleration_stats` and the
     compact jump index's probe-cache counters.  Counters are process-local,
     so ``--exercise N`` decodes and re-factorizes the first N stored
-    documents to generate representative probe traffic first.
+    documents to generate representative probe traffic first.  The jump
+    index and its counters belong to the Python match engine, so that
+    traffic runs on it; the native factorize kernel is never compiled or
+    loaded here.
     """
     from .api import RlzArchive
-    from .core import RlzFactorizer
+    from .core import RlzFactorizer, native
 
     try:
         archive = RlzArchive.open(path)
@@ -1012,10 +1015,11 @@ def _archive_stats(path: str, exercise: int) -> int:
         exercised = 0
         if exercise:
             factorizer = RlzFactorizer(dictionary)
-            for doc_id in archive.doc_ids()[:exercise]:
-                for _ in factorizer.iter_factors(archive.get(doc_id)):
-                    pass
-                exercised += 1
+            with native.python_match_engine():
+                for doc_id in archive.doc_ids()[:exercise]:
+                    for _ in factorizer.iter_factors(archive.get(doc_id)):
+                        pass
+                    exercised += 1
         stats = suffix_array.acceleration_stats()
         probe = suffix_array.probe_cache_info()
     finally:
@@ -1061,7 +1065,9 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
         default=0,
         metavar="DOCS",
         help="with --archive: re-factorize the first DOCS stored documents "
-        "first, so the probe-cache counters reflect real traffic",
+        "on the Python match engine first, so the probe-cache counters "
+        "reflect real traffic (the native factorize kernel has no jump index "
+        "or probe cache)",
     )
     parser.add_argument(
         "--watch",

@@ -2,9 +2,12 @@
 
 Factorization is embarrassingly parallel — every document is parsed against
 the same read-only dictionary — so the encode path scales across cores by
-chunking the document list over a ``multiprocessing`` pool.  The dictionary
-(and its fully built suffix-array acceleration state: keys, jump-start
-index, the match engine's scalar arrays) is shared with the workers read-only:
+chunking the document list over a ``multiprocessing`` pool.  The parent
+loads the native factorize kernel (:mod:`repro.core.native`) before the pool
+starts, so fork workers inherit it mapped and spawn workers find it
+compiled.  The dictionary (and its suffix-array acceleration state: with the
+kernel, the int64 suffix array alone; with the Python engine, also its keys,
+jump-start index and scalar arrays) is shared with the workers read-only:
 
 * with the ``fork`` start method (the default where available) the parent
   builds everything once and the children inherit the pages copy-on-write —
@@ -45,6 +48,7 @@ import numpy as np
 
 from ..errors import FactorizationError
 from ..suffix import SuffixArray
+from . import native
 from .dictionary import RlzDictionary
 from .encoder import PairEncoder
 from .factorizer import RlzFactorizer
@@ -353,18 +357,26 @@ def _factorize_chunk(
 def _describe_chunk(
     documents: List[bytes],
     state: Optional[Tuple[RlzFactorizer, PairEncoder]] = None,
-) -> List[Tuple[str, int, int]]:
+) -> List[Tuple[str, int, int, str, bool]]:
     """Report how each worker's dictionary was built (test/diagnostic hook).
 
-    Returns one ``(suffix_array_algorithm, attached_segments, pid)`` tuple
-    per chunk: an ``"shared:..."`` algorithm name proves the worker wrapped
-    the parent's suffix array instead of reconstructing it.
+    Returns one ``(suffix_array_algorithm, attached_segments, pid,
+    match_engine, suffix_array_writeable)`` tuple per document: an
+    ``"shared:..."`` algorithm name proves the worker wrapped the parent's
+    suffix array instead of reconstructing it, and a read-only array that
+    the segment was wrapped without a copy.  ``match_engine`` is
+    :func:`repro.core.native.factorizer_name` in the worker.
     """
     factorizer, _ = state if state is not None else _WORKER_STATE
     suffix_array = factorizer.dictionary.suffix_array
-    return [(suffix_array.algorithm, len(_WORKER_SEGMENTS), os.getpid())] * len(
-        documents
+    description = (
+        suffix_array.algorithm,
+        len(_WORKER_SEGMENTS),
+        os.getpid(),
+        native.factorizer_name(),
+        bool(suffix_array.array.flags.writeable),
     )
+    return [description] * len(documents)
 
 
 class ParallelCompressor:
@@ -541,6 +553,10 @@ class ParallelCompressor:
         # segments are still released — no leak outlives the call.  Pooled
         # segments are owned by _SEGMENT_POOL, not this run.
         try:
+            if self._dictionary.accelerated:
+                # Compile/map it once here: fork workers inherit it mapped,
+                # spawn workers find it in the cache.
+                native.factorize_kernel()
             if self._start_method == "fork":
                 # Build all acceleration state now so forked children share
                 # it copy-on-write instead of rebuilding it per worker.

@@ -244,11 +244,17 @@ def build_postings(
         for term, char_offset in pairs:
             tf, first = frequencies.get(term, (0, char_offset))
             frequencies[term] = (tf + 1, first)
+        # Terms sit in order of first occurrence, so their first offsets
+        # ascend: each byte offset is the previous one plus the encoded gap,
+        # which encodes every character once per document.
+        previous_char = previous_byte = 0
         for term, (tf, char_offset) in frequencies.items():
             if ascii_text:
                 byte_offset = char_offset
             else:
-                byte_offset = len(text[:char_offset].encode("utf-8"))
+                previous_byte += len(text[previous_char:char_offset].encode("utf-8"))
+                previous_char = char_offset
+                byte_offset = previous_byte
             posting_terms.append(term_ids.setdefault(term, len(term_ids)))
             posting_docs.append(doc_id)
             posting_tfs.append(tf)

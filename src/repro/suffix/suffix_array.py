@@ -12,15 +12,19 @@ Figure 1 rely on:
   longest prefix of a query that occurs anywhere in the indexed text,
   returned as a (position, length) pair.
 
-There are exactly two match paths, and they produce the identical greedy
-parse:
+There are two match paths, and they produce the identical greedy parse:
 
 * the *reference* path (``accelerated=False``) follows the paper's
   pseudo-code: one binary-search refinement per matched character.  It is
   the test oracle;
-* the *match engine* (default) resolves each factor with one lcp-aware
-  binary search over 64-bit big-endian suffix keys
-  (:meth:`SuffixArray.match_stream`).  A *jump-start index* maps the first
+* the *match engine* (default).  Whole-document parses
+  (:meth:`SuffixArray.factorize_stream`, :meth:`SuffixArray.match_stream`)
+  run in the native factorize kernel (``repro/core/rlz_factorize.c``,
+  loaded by :mod:`repro.core.native`) when it is available: one C call per
+  document over the contiguous int64 suffix array, with the GIL released.
+  Otherwise, and for :meth:`SuffixArray.longest_match`, the Python engine
+  resolves each factor with one lcp-aware binary search over 64-bit
+  big-endian suffix keys.  A *jump-start index* maps the first
   8-byte key of every suffix to its suffix-array interval, so the search
   starts inside that interval in O(1).  Windows the keys cannot serve
   (shorter than 8 bytes, containing a zero byte, or absent from the index)
@@ -32,7 +36,9 @@ Texts of at most ``_SMALL_TEXT_MAX`` bytes get Python hash dicts, the
 fastest probe at roughly a hundred bytes per distinct key.  Larger texts get
 the :class:`repro.suffix.jump_index.CompactJumpIndex`: flat numpy arrays
 at ~10 bytes per distinct key, the only representation that fits the
-multi-MB dictionaries the paper targets.  Neither changes the parse.
+multi-MB dictionaries the paper targets.  Neither changes the parse.  The
+Python engine's keys and indexes are built lazily, on its first use, so a
+process whose parses all run in the kernel never builds them.
 """
 
 from __future__ import annotations
@@ -50,6 +56,20 @@ from .sais import sais
 __all__ = ["SuffixArray", "SuffixInterval"]
 
 _KEY_WIDTH = 8  # bytes folded into one uint64 key per comparison step
+
+
+def _factorize_kernel():
+    """The native factorize kernel, or ``None`` (loaded on first use)."""
+    from ..core import native  # deferred: repro.core imports this package
+
+    return native.factorize_kernel()
+
+
+def _factorizer_name() -> str:
+    """:func:`repro.core.native.factorizer_name`, never loading the kernel."""
+    from ..core import native
+
+    return native.factorizer_name(load=False)
 
 
 @dataclass(frozen=True)
@@ -100,8 +120,10 @@ class SuffixArray:
     accelerated:
         Use the match engine (default) instead of the paper's literal
         per-character algorithm.  The parse is identical either way.  The
-        engine's jump-start index is a hash dict for texts of at most
-        ``_SMALL_TEXT_MAX`` bytes and the compact numpy index above that.
+        engine is the native factorize kernel when it loads, else the
+        Python engine, whose jump-start index is a hash dict for texts of
+        at most ``_SMALL_TEXT_MAX`` bytes and the compact numpy index above
+        that.
     """
 
     #: Interval sizes at or below this threshold are scanned candidate by
@@ -181,11 +203,16 @@ class SuffixArray:
         self = cls.__new__(cls)
         self._text = bytes(text)
         self._n = len(self._text)
-        sa = np.asarray(suffix_array, dtype=np.int64)
+        # The kernel reads the array in place: contiguous int64, converted
+        # here once (a no-op for the parent's shared-memory segment).
+        sa = np.ascontiguousarray(suffix_array, dtype=np.int64)
         if len(sa) != self._n:
             raise ValueError(
                 f"suffix array has {len(sa)} entries for a text of {self._n} bytes"
             )
+        if self._n and (int(sa.min()) < 0 or int(sa.max()) >= self._n):
+            # The kernel indexes the text with these values unchecked.
+            raise ValueError(f"suffix array values outside [0, {self._n})")
         self._sa = sa
         self._algorithm = algorithm
         self._accelerated = bool(accelerated)
@@ -209,8 +236,10 @@ class SuffixArray:
     def shared_state(self) -> Dict[str, np.ndarray]:
         """The numpy arrays a worker needs to attach without rebuilding.
 
-        Builds (when acceleration is enabled) *only* the exportable arrays —
-        the per-position key array and the level-0 keys — and returns them
+        With the native kernel that is the suffix array alone: the kernel
+        parses over it directly.  Otherwise (when acceleration is enabled)
+        this builds *only* the Python engine's exportable arrays — the
+        per-position key array and the level-0 keys — and returns them
         with the suffix array, exactly the arrays :meth:`from_precomputed`
         accepts.  A parent that publishes for ``spawn`` workers but never
         factorizes itself therefore skips the jump index and the scalar
@@ -218,13 +247,13 @@ class SuffixArray:
         The parallel pipeline copies the result into
         ``multiprocessing.shared_memory`` segments.
         """
-        if self._accelerated:
-            self._ensure_shared_arrays()
         state: Dict[str, np.ndarray] = {"sa": self._sa}
-        if self._position_keys is not None:
-            state["position_keys"] = self._position_keys
-        if self._level0_keys is not None:
-            state["level0_keys"] = self._level0_keys
+        if self._accelerated and self._kernel() is None:
+            self._ensure_shared_arrays()
+            if self._position_keys is not None:
+                state["position_keys"] = self._position_keys
+            if self._level0_keys is not None:
+                state["level0_keys"] = self._level0_keys
         return state
 
     # ------------------------------------------------------------------
@@ -244,6 +273,10 @@ class SuffixArray:
     def accelerated(self) -> bool:
         """Whether the match engine is enabled."""
         return self._accelerated
+
+    def _kernel(self):
+        """The native factorize kernel when it parses for this array."""
+        return _factorize_kernel() if self._accelerated else None
 
     @property
     def jump_index_kind(self) -> Optional[str]:
@@ -416,22 +449,34 @@ class SuffixArray:
         """Build all acceleration state now (e.g. before forking workers).
 
         The parallel encode pipeline calls this in the parent process so the
-        keys, the jump-start index and the engine's scalar arrays are built
-        once and shared copy-on-write with every forked worker.
+        state is built once and shared copy-on-write with every forked
+        worker.  With the native kernel that state is the loaded kernel and
+        the contiguous int64 suffix array, which construction already
+        produced; the Python engine needs its keys, jump-start index and
+        scalar arrays.
         """
-        if self._accelerated:
+        if self._accelerated and self._kernel() is None:
             self._ensure_keys()
 
     def acceleration_stats(self) -> Dict[str, object]:
-        """Size accounting for the acceleration state (builds it first).
+        """Size accounting for the acceleration state.
 
-        Returns the jump-index kind and entry counts plus byte totals: exact
-        ``nbytes`` for the numpy and ``array`` structures, an estimate for
-        the dict-based index (measured ~100-150 B per distinct key, reported
-        at 120).  The large-dictionary benchmark records these so the memory
+        Returns the ``engine`` that runs this array's document parses, the
+        jump-index kind and entry counts plus byte totals: exact ``nbytes``
+        for the numpy and ``array`` structures, an estimate for the
+        dict-based index (measured ~100-150 B per distinct key, reported at
+        120).  The large-dictionary benchmark records these so the memory
         model in PERFORMANCE.md stays tied to measured numbers.
+
+        ``engine`` is ``"native"`` (the factorize kernel is loaded),
+        ``"python"`` (the Python engine: no kernel, or ``accelerated=False``,
+        the per-character reference) or ``"unloaded"`` (no parse has asked
+        for the kernel yet).  Asking never compiles or maps the kernel.
+        Only the Python engine's state is built first; otherwise its sizes
+        read what an earlier Python parse left (usually 0).
         """
-        if self._accelerated:
+        engine = _factorizer_name() if self._accelerated else "python"
+        if self._accelerated and engine == "python":
             self._ensure_keys()
         jump_entries = 0
         jump_nbytes = 0
@@ -453,6 +498,7 @@ class SuffixArray:
             if scalar is not None:
                 scalar_nbytes += len(scalar) * scalar.itemsize
         return {
+            "engine": engine,
             "jump_index_kind": self._jump_index_kind,
             "jump_entries": jump_entries,
             "jump_nbytes": jump_nbytes,
@@ -465,10 +511,9 @@ class SuffixArray:
         """Probe-layer counters of the compact jump index.
 
         All-zero when the dict-based index (small texts) or no jump index
-        is active — those paths have no probe cache to account for.
+        is active (the native engine builds none) — those paths have no
+        probe cache to account for.
         """
-        if self._accelerated:
-            self._ensure_keys()
         if isinstance(self._jump_index, CompactJumpIndex):
             return self._jump_index.probe_cache_info()
         return {
@@ -733,7 +778,13 @@ class SuffixArray:
 
         :meth:`match_stream` collected into two lists: literal factors as
         ``(byte_value, 0)`` pairs, copy factors as ``(position, length)``.
+        One native kernel call when the kernel is loaded.
         """
+        kernel = self._kernel()
+        if kernel is not None:
+            if not isinstance(query, (bytes, bytearray)):
+                raise TypeError("the query must be bytes-like")
+            return kernel(self._text, self._sa, bytes(query))
         positions: list = []
         lengths: list = []
         append_position = positions.append
@@ -773,7 +824,9 @@ class SuffixArray:
         cursor — as a generator, so streaming consumers (``iter_factors``)
         do not materialize both streams.
 
-        The per-document query keys are built once in a vectorized pass;
+        With the native kernel the whole parse is one kernel call, and the
+        factors are yielded from its result.  In the Python engine the
+        per-document query keys are built once in a vectorized pass;
         each factor is then resolved by a single lcp-aware binary search
         over its jump-start interval (:meth:`_match_factor`).  When the
         jump index is compact and recent factors are short — the
@@ -785,6 +838,10 @@ class SuffixArray:
         if not isinstance(query, (bytes, bytearray)):
             raise TypeError("the query must be bytes-like")
         query = bytes(query)
+        kernel = self._kernel()
+        if kernel is not None:
+            yield from zip(*kernel(self._text, self._sa, query))
+            return
         query_length = len(query)
         if not self._accelerated or self._n == 0:
             # Reference path: one per-character longest_match per factor.

@@ -34,6 +34,7 @@ def test_benchmark_rows_cover_both_directions(bench_table):
     pipelines = [row[0] for row in table.rows]
     assert "encode/seed" in pipelines
     assert "encode/fast" in pipelines
+    assert "encode/python" in pipelines
     assert "decode/seed-serving" in pipelines
     assert "decode/fast-serving" in pipelines
 
@@ -47,6 +48,7 @@ def test_benchmark_json_record(bench_table):
     assert record["verified"]["streams_identical"] is True
     assert record["verified"]["roundtrip_ok"] is True
     assert record["encode"]["speedup"] > 0
+    assert record["encode"]["python_mb_per_s"] > 0
     assert record["decode"]["speedup"] > 0
 
 

@@ -42,3 +42,15 @@ def test_unknown_scale_rejected(monkeypatch):
 def test_paper_constants():
     assert PAPER_DICTIONARY_LABELS == ("2.0", "1.0", "0.5")
     assert tuple(PAPER_SAMPLE_SIZES) == (0.5, 1.0, 2.0, 5.0)
+
+
+def test_cached_corpora_follow_the_requested_scale(monkeypatch):
+    """A caller that passes a scale gets that scale's collection, whatever
+    ``REPRO_BENCH_SCALE`` says (it once got the environment's scale)."""
+    from repro.bench.corpora import gov_collection, wiki_collection
+    from repro.bench.scale import _SCALES
+
+    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    tiny = _SCALES["tiny"]
+    assert len(gov_collection(tiny)) == 80
+    assert len(wiki_collection(tiny)) == tiny.wiki_documents

@@ -62,6 +62,16 @@ def python_decoder():
     native._kernel = saved
 
 
+@pytest.fixture()
+def python_match_engine():
+    """Turn the native factorize kernel off for a test, so every parse takes
+    the Python match engine a process without a C compiler runs."""
+    from repro.core import native
+
+    with native.python_match_engine():
+        yield
+
+
 class AsyncViewBridge:
     """Drive an :class:`AsyncClusterClient` through the synchronous
     ``ArchiveView`` surface.

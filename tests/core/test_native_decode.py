@@ -573,10 +573,15 @@ def test_loader_compiles_into_the_cache_directory(fresh_loader, caplog, zz_store
 def test_cache_key_covers_the_compile_command():
     """A changed flag (dropping ``-lz``, say) names a different library, so
     a build made with other flags is never loaded."""
-    command = native._command(sysconfig.get_paths()["include"])
+    source = native._DECODE
+    command = native._command(source, sysconfig.get_paths()["include"])
     assert "-lz" in command
-    assert native._library_path(command) == native._library_path(list(command))
-    assert native._library_path(command) != native._library_path(command[:-1])
+    assert native._library_path(source, command) == native._library_path(
+        source, list(command)
+    )
+    assert native._library_path(source, command) != native._library_path(
+        source, command[:-1]
+    )
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,7 @@ def test_spawn_shared_memory_matches_serial_and_attaches(dictionary, documents):
     assert blobs == serial_blobs(dictionary, documents)
     assert len(pipeline.last_segment_names) >= 2  # text + suffix array at least
     descriptions = pipeline._run(_describe_chunk, documents)
-    for algorithm, segments, _pid in descriptions:
+    for algorithm, segments, _pid, _engine, _writeable in descriptions:
         assert algorithm.startswith("shared:")
         assert segments >= 2
 
@@ -242,10 +242,9 @@ def test_spawn_shared_memory_segments_released_when_pool_fails(
     assert real_get_context("spawn") is not None  # sanity: patch was local
 
 
-def test_shared_publish_midway_failure_releases_created_segments(dictionary, monkeypatch):
-    """If segment creation fails partway through publish (e.g. a full
-    /dev/shm), the real error must propagate and every already-created
-    segment must be closed and unlinked — no kernel objects leak."""
+def _fail_segment_creation(monkeypatch, failing):
+    """Make the ``failing``-th shared-memory creation raise; return the
+    names of the segments created before it and the real constructor."""
     from multiprocessing import shared_memory
 
     real_shared_memory = shared_memory.SharedMemory
@@ -255,7 +254,7 @@ def test_shared_publish_midway_failure_releases_created_segments(dictionary, mon
     def flaky(*args, **kwargs):
         if kwargs.get("create"):
             state["creations"] += 1
-            if state["creations"] == 3:
+            if state["creations"] == failing:
                 raise OSError("shm exhausted")
         segment = real_shared_memory(*args, **kwargs)
         if kwargs.get("create"):
@@ -263,12 +262,45 @@ def test_shared_publish_midway_failure_releases_created_segments(dictionary, mon
         return segment
 
     monkeypatch.setattr(shared_memory, "SharedMemory", flaky)
-    with pytest.raises(OSError, match="shm exhausted"):
-        parallel_module._SharedDictionary.publish(dictionary)
+    return created, real_shared_memory
+
+
+def _assert_released(created, real_shared_memory):
     assert created  # some segments were created before the failure
     for name in created:
         with pytest.raises(FileNotFoundError):
             real_shared_memory(name=name)
+
+
+@pytest.mark.usefixtures("python_match_engine")
+def test_shared_publish_midway_failure_releases_created_segments(dictionary, monkeypatch):
+    """If segment creation fails partway through publish (e.g. a full
+    /dev/shm), the real error must propagate and every already-created
+    segment must be closed and unlinked — no kernel objects leak.  The
+    Python engine publishes four segments (text, suffix array and two key
+    arrays); the third creation fails."""
+    created, real_shared_memory = _fail_segment_creation(monkeypatch, 3)
+    with pytest.raises(OSError, match="shm exhausted"):
+        parallel_module._SharedDictionary.publish(dictionary)
+    assert len(created) == 2
+    _assert_released(created, real_shared_memory)
+
+
+def test_shared_publish_failure_with_the_kernel_releases_the_text_segment(
+    dictionary, monkeypatch
+):
+    """With the native kernel only the text and the suffix array are
+    published; the suffix array's creation fails and the text segment is
+    released."""
+    from repro.core import native
+
+    if native.factorize_kernel() is None:
+        pytest.skip("the native factorize kernel is unavailable (no C compiler?)")
+    created, real_shared_memory = _fail_segment_creation(monkeypatch, 2)
+    with pytest.raises(OSError, match="shm exhausted"):
+        parallel_module._SharedDictionary.publish(dictionary)
+    assert len(created) == 1
+    _assert_released(created, real_shared_memory)
 
 
 @spawn_available
@@ -280,7 +312,7 @@ def test_spawn_without_shared_memory_rebuilds_per_worker(dictionary, documents):
     assert blobs == serial_blobs(dictionary, documents)
     assert pipeline.last_segment_names == ()
     descriptions = pipeline._run(_describe_chunk, documents)
-    for algorithm, segments, _pid in descriptions:
+    for algorithm, segments, _pid, _engine, _writeable in descriptions:
         assert not algorithm.startswith("shared:")
         assert segments == 0
 
@@ -303,3 +335,38 @@ def test_empty_document_list(dictionary):
 def test_invalid_chunk_size(dictionary):
     with pytest.raises(FactorizationError):
         ParallelCompressor(dictionary, chunk_size=0)
+
+
+@pytest.mark.parametrize(
+    "start_method",
+    [
+        pytest.param(
+            method,
+            marks=pytest.mark.skipif(
+                method not in multiprocessing.get_all_start_methods(),
+                reason=f"{method} start method not available",
+            ),
+        )
+        for method in ("fork", "spawn")
+    ],
+)
+def test_workers_run_the_kernel_and_match_the_serial_python_engine(
+    start_method, dictionary, documents, monkeypatch
+):
+    """Fork workers inherit the loaded factorize kernel; spawn workers load
+    it and parse over the parent's shared-memory suffix array in place.
+    Either way the blobs equal the serial Python engine's."""
+    from repro.core import native
+
+    if native.factorize_kernel() is None:
+        pytest.skip("the native factorize kernel is unavailable (no C compiler?)")
+    with native.python_match_engine():
+        expected = serial_blobs(dictionary, documents)
+    pipeline = ParallelCompressor(
+        dictionary, scheme="ZZ", workers=2, chunk_size=3, start_method=start_method
+    )
+    assert pipeline.encode_documents(documents) == expected
+    descriptions = pipeline._run(_describe_chunk, documents)
+    # spawn: the read-only segment view, never a private copy.
+    engines = {(engine, writeable) for *_, engine, writeable in descriptions}
+    assert engines == {("native", start_method == "fork")}

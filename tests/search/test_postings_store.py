@@ -281,6 +281,33 @@ def test_hit_offsets_are_byte_offsets_in_unicode_text():
     assert posting[2] == text.encode("utf-8").index(b"zone")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        # U+FFFD from invalid UTF-8, before and between terms.
+        b"\xff\xfe alpha \xc3 beta \xe2\x82 gamma alpha \xf0\x9f delta",
+        # İ lowers to two characters; K (U+212A) lowers to ASCII k.
+        "İstanbul alpha İİ beta \u212aelvin gamma \u212a alpha delta",
+        "ünïcödé " * 40 + "alpha " + "é" * 300 + " beta " + "\u212a" * 7 + " gamma",
+    ],
+)
+def test_hit_offsets_equal_the_prefix_encoding_formula(content):
+    """Every first-hit offset equals the byte length of the UTF-8 prefix up
+    to the term's first character, the formula `build_postings` once evaluated
+    per term (quadratic in the document)."""
+    text = content
+    if isinstance(content, bytes):
+        text = content.decode("utf-8", errors="replace")
+    store = build_postings([(7, content)])
+    firsts = {}
+    for term, char_offset in tokenize_with_offsets(text):
+        firsts.setdefault(term, char_offset)
+    assert len(firsts) >= 4
+    for term, char_offset in firsts.items():
+        (posting,) = store.postings(term)
+        assert posting[2] == len(text[:char_offset].encode("utf-8")), term
+
+
 # ----------------------------------------------------------------------
 # Tie-breaking determinism (regression: every ranked path agrees)
 # ----------------------------------------------------------------------

@@ -7,14 +7,24 @@ every window containing a real ``\\x00`` byte is a chance for the padding
 to impersonate data.  The jump lookups are guarded against both — these
 tests pin the guards down with the adversarial shapes from the PR-2 audit:
 trailing zero bytes in the query, in the dictionary, and in both, around
-the 4-byte and 8-byte window edges, under both jump-index kinds.
+the 4-byte and 8-byte window edges, under both jump-index kinds of the
+Python engine (run with the native factorize kernel forced off) and under
+the native kernel.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from repro.core import native
 from repro.suffix import SuffixArray
+
+#: ``dict`` and ``compact``: the Python engine over either jump-index kind;
+#: ``native``: the C factorize kernel, where it builds.
+IMPLEMENTATIONS = ("dict", "compact") + (
+    ("native",) if native.factorize_kernel() is not None else ()
+)
 
 
 def reference_streams(suffix_array, query):
@@ -33,21 +43,28 @@ def reference_streams(suffix_array, query):
     return positions, lengths
 
 
-def accelerated_variants(text):
-    """The match engine over each jump-index kind: the small-text dict
-    index by default, the compact index via the size threshold."""
-    compact = SuffixArray(text)
-    compact._SMALL_TEXT_MAX = 0
-    return {"dict": SuffixArray(text), "compact": compact}
+def accelerated_variant(text, kind):
+    """The match engine as ``kind``: the Python engine's small-text dict
+    index by default, its compact index via the size threshold, or the
+    native kernel (the index is then never built)."""
+    fast = SuffixArray(text)
+    if kind == "compact":
+        fast._SMALL_TEXT_MAX = 0
+    return fast
 
 
 def assert_boundary_identical(text, query):
-    """Both jump-index kinds equal the faithful per-char parse."""
+    """Every implementation equals the faithful per-char parse."""
     faithful = SuffixArray(text, accelerated=False)
     expected = reference_streams(faithful, query)
-    for kind, fast in accelerated_variants(text).items():
-        assert fast.factorize_stream(query) == expected, kind
-        assert reference_streams(fast, query) == expected, kind
+    for kind in IMPLEMENTATIONS:
+        engine = nullcontext() if kind == "native" else native.python_match_engine()
+        with engine:
+            fast = accelerated_variant(text, kind)
+            assert fast.factorize_stream(query) == expected, kind
+            assert reference_streams(fast, query) == expected, kind
+            if kind != "native" and query:
+                assert fast.jump_index_kind == kind  # the Python engine ran
     # Round-trip sanity.
     out = bytearray()
     for position, length in zip(*expected):
@@ -112,7 +129,8 @@ def test_limit_narrower_than_available_query(limit):
     text = b"abcdefghijklmnop\x00\x00qrst"
     query = b"abcdefghijklmnop\x00\x00qrst"
     faithful = SuffixArray(text, accelerated=False)
-    for kind, fast in accelerated_variants(text).items():
+    for kind in ("dict", "compact"):  # longest_match runs the Python engine
+        fast = accelerated_variant(text, kind)
         for start in range(len(query)):
             expected = faithful.longest_match(query, start, limit)
             got = fast.longest_match(query, start, limit)

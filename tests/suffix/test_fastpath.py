@@ -1,17 +1,33 @@
 """Adversarial equivalence tests for the accelerated fast path.
 
-The jump-start index and the match engine behind ``factorize_stream`` must
-produce exactly the parse of the paper's per-character algorithm.  These tests hammer the cases where the fast path
+Every implementation of the match engine behind ``factorize_stream`` must
+produce exactly the parse of the paper's per-character algorithm: the
+Python engine over the dict and the compact jump index (run with the
+native factorize kernel forced off, as on a host without a C compiler) and
+the native kernel itself.  These tests hammer the cases where the fast path
 could plausibly diverge: zero bytes in queries (which collide with the key
 padding), dictionaries shorter than the 8-byte key width, matches that end
 exactly at the dictionary boundary, and the jump-start hit/miss paths.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from repro.core import native
 from repro.suffix import SuffixArray
+
+#: ``dict`` and ``compact``: the Python engine over either jump-index kind;
+#: ``native``: the C factorize kernel, where it builds.
+IMPLEMENTATIONS = ("dict", "compact") + (
+    ("native",) if native.factorize_kernel() is not None else ()
+)
+
+
+def implementation(kind):
+    """Run the block on ``kind`` (the kernel forced off for the Python engine)."""
+    return nullcontext() if kind == "native" else native.python_match_engine()
 
 
 def reference_streams(suffix_array, query):
@@ -33,15 +49,20 @@ def reference_streams(suffix_array, query):
 
 def assert_all_modes_agree(text, query):
     """Fast stream, accelerated longest_match and faithful mode all agree,
-    over both the dict and the compact jump index."""
-    fast = SuffixArray(text)
-    compact = SuffixArray(text)
-    compact._SMALL_TEXT_MAX = 0
+    for every implementation: the Python engine over the dict and the
+    compact jump index, and the native kernel."""
     faithful = SuffixArray(text, accelerated=False)
     expected = reference_streams(faithful, query)
-    assert fast.factorize_stream(query) == expected
-    assert compact.factorize_stream(query) == expected
-    assert reference_streams(fast, query) == expected
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            fast = SuffixArray(text)
+            if kind == "compact":
+                fast._SMALL_TEXT_MAX = 0
+            assert fast.factorize_stream(query) == expected, kind
+            assert list(fast.match_stream(query)) == list(zip(*expected)), kind
+            assert reference_streams(fast, query) == expected, kind
+            if kind != "native" and query:
+                assert fast.jump_index_kind == kind  # the Python engine ran
     # Round-trip: the parse reproduces the query exactly.
     out = bytearray()
     for position, length in zip(*expected):
@@ -125,15 +146,18 @@ def test_large_text_configuration_uses_compact_jump_index():
     assert gated._jump_index is not None
     assert gated._jump4_index is not None
     reference = SuffixArray(text, accelerated=False)
-    for _ in range(20):
-        query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 80)))
-        streams = gated.factorize_stream(query)
-        assert streams == reference_streams(reference, query)
-        assert all(isinstance(value, int) for value in streams[0])
+    with native.python_match_engine():  # the parse the compact index serves
+        for _ in range(20):
+            query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 80)))
+            streams = gated.factorize_stream(query)
+            assert streams == reference_streams(reference, query)
+            assert all(isinstance(value, int) for value in streams[0])
 
 
 def test_factorize_stream_empty_and_type_checks():
-    suffix_array = SuffixArray(b"abc")
-    assert suffix_array.factorize_stream(b"") == ([], [])
-    with pytest.raises(TypeError):
-        suffix_array.factorize_stream("not bytes")
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            suffix_array = SuffixArray(b"abc")
+            assert suffix_array.factorize_stream(b"") == ([], [])
+            with pytest.raises(TypeError):
+                suffix_array.factorize_stream("not bytes")

@@ -1,9 +1,17 @@
-"""Tests for the shared-state attach path (``SuffixArray.from_precomputed``)."""
+"""Tests for the shared-state attach path (``SuffixArray.from_precomputed``).
+
+These cover the Python match engine's exported arrays (the per-position and
+level-0 keys), so they run with the native factorize kernel off; the
+kernel's attach path, which exports the suffix array alone, is covered in
+``tests/core/test_native_factorize.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.suffix import SuffixArray
+
+pytestmark = pytest.mark.usefixtures("python_match_engine")
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +99,14 @@ def test_from_precomputed_validates_lengths(built):
         )
     with pytest.raises(TypeError):
         SuffixArray.from_precomputed("not bytes", state["sa"])
+
+
+def test_from_precomputed_rejects_out_of_range_values(built):
+    """The native kernel indexes the text with suffix-array values, so a
+    borrowed array must hold ranks of this text."""
+    text, original = built
+    for bad in (-1, len(text)):
+        sa = original.array.copy()
+        sa[5] = bad
+        with pytest.raises(ValueError, match="outside"):
+            SuffixArray.from_precomputed(text, sa)

@@ -1,25 +1,48 @@
 """Byte-identity battery for the match engine.
 
-The engine (``SuffixArray.match_stream`` / ``_match_factor``) resolves each
-factor with one lcp-aware binary search over its jump-start interval and
-batches cold jump probes.  It must produce exactly the parse of the paper's
-per-character algorithm (``accelerated=False``, the oracle) through every
-entry point — ``factorize_stream``, ``match_stream`` and ``longest_match``
-— over both jump-index kinds.  The hand-picked cases below are the
-adversarial shapes: empty documents, all-literal streams, trailing-zero
-boundary keys and zero-byte windows; the generated property covers the
-rest.
+The engine has three implementations, and each must produce exactly the
+parse of the paper's per-character algorithm (``accelerated=False``, the
+oracle) through every entry point — ``factorize_stream``, ``match_stream``
+and ``longest_match``:
+
+* ``dict`` and ``compact``: the Python engine (``SuffixArray.match_stream``
+  / ``_match_factor``) over either jump-index kind.  It resolves each
+  factor with one lcp-aware binary search over its jump-start interval and
+  batches cold jump probes.  These run with the native kernel forced off;
+* ``native``: the C factorize kernel (``repro/core/rlz_factorize.c``),
+  one lcp-aware binary search per factor over the whole suffix array.
+  ``longest_match`` stays on the Python engine.
+
+The hand-picked cases below are the adversarial shapes: empty documents
+and dictionaries, all-literal streams, trailing-zero boundary keys and
+zero-byte windows; the generated property covers the rest.
 """
 
 import random
+import sys
+import threading
+import time
+from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RlzDictionary, RlzFactorizer
+from repro.core import RlzDictionary, RlzFactorizer, native
 from repro.suffix import SuffixArray
 
 JUMP_KINDS = ("dict", "compact")
+NATIVE = native.factorize_kernel() is not None
+requires_kernel = pytest.mark.skipif(
+    not NATIVE, reason="the native factorize kernel is unavailable (no C compiler?)"
+)
+IMPLEMENTATIONS = JUMP_KINDS + (("native",) if NATIVE else ())
+
+
+def implementation(kind):
+    """Run the block on ``kind``: the native kernel, or the Python engine
+    (the kernel forced off)."""
+    return nullcontext() if kind == "native" else native.python_match_engine()
 
 
 def reference_streams(suffix_array, query):
@@ -43,7 +66,8 @@ def engine(text, kind="dict"):
     """An accelerated suffix array whose jump index is of ``kind``.
 
     Small texts get the dict index; lowering the size threshold on the
-    instance forces the compact one.
+    instance forces the compact one.  (The kind only matters inside
+    ``implementation(kind)``: the native kernel builds no jump index.)
     """
     suffix_array = SuffixArray(text)
     if kind == "compact":
@@ -52,13 +76,15 @@ def engine(text, kind="dict"):
 
 
 def assert_engine_identical(text, query):
-    """Every engine entry point equals the faithful parse, for both kinds."""
+    """Every engine entry point equals the faithful parse, for every
+    implementation."""
     expected = reference_streams(SuffixArray(text, accelerated=False), query)
-    for kind in JUMP_KINDS:
-        suffix_array = engine(text, kind)
-        assert suffix_array.factorize_stream(query) == expected, kind
-        assert list(suffix_array.match_stream(query)) == list(zip(*expected)), kind
-        assert reference_streams(suffix_array, query) == expected, kind
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            suffix_array = engine(text, kind)
+            assert suffix_array.factorize_stream(query) == expected, kind
+            assert list(suffix_array.match_stream(query)) == list(zip(*expected)), kind
+            assert reference_streams(suffix_array, query) == expected, kind
 
 
 # ----------------------------------------------------------------------
@@ -94,25 +120,30 @@ def documents(draw, text):
 texts = st.one_of(st.just(b""), st.binary(min_size=1, max_size=1), dictionaries())
 
 
-@pytest.mark.parametrize("kind", JUMP_KINDS)
+@pytest.mark.parametrize(
+    "kind", JUMP_KINDS + (pytest.param("native", marks=requires_kernel),)
+)
 @given(text=texts, data=st.data())
 @settings(deadline=None)
 def test_generated_parse_identity(kind, text, data):
     document = data.draw(documents(text))
     expected = reference_streams(SuffixArray(text, accelerated=False), document)
-    suffix_array = engine(text, kind)
-    assert suffix_array.factorize_stream(document) == expected
-    assert list(suffix_array.match_stream(document)) == list(zip(*expected))
-    assert reference_streams(suffix_array, document) == expected
+    with implementation(kind):
+        suffix_array = engine(text, kind)
+        assert suffix_array.factorize_stream(document) == expected
+        assert list(suffix_array.match_stream(document)) == list(zip(*expected))
+        assert reference_streams(suffix_array, document) == expected
 
 
 # ----------------------------------------------------------------------
 # Degenerate documents
 # ----------------------------------------------------------------------
 def test_empty_document():
-    suffix_array = SuffixArray(b"abracadabra")
-    assert suffix_array.factorize_stream(b"") == ([], [])
-    assert list(suffix_array.match_stream(b"")) == []
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            suffix_array = SuffixArray(b"abracadabra")
+            assert suffix_array.factorize_stream(b"") == ([], [])
+            assert list(suffix_array.match_stream(b"")) == []
 
 
 def test_all_literal_stream():
@@ -120,9 +151,11 @@ def test_all_literal_stream():
     text = b"abcdefgh" * 8
     query = b"XYZ" * 20 + b"\x01\x02"
     assert_engine_identical(text, query)
-    positions, lengths = SuffixArray(text).factorize_stream(query)
-    assert lengths == [0] * len(query)
-    assert positions == list(query)
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            positions, lengths = SuffixArray(text).factorize_stream(query)
+        assert lengths == [0] * len(query)
+        assert positions == list(query)
 
 
 def test_single_byte_documents():
@@ -174,11 +207,12 @@ def test_forced_large_text_configuration():
     text = bytes(rng.choices(b"abcdef <html>", k=600))
     suffix_array = engine(text, "compact")
     reference = SuffixArray(text, accelerated=False)
-    for _ in range(10):
-        query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 90)))
-        assert suffix_array.factorize_stream(query) == reference_streams(
-            reference, query
-        )
+    with implementation("compact"):
+        for _ in range(10):
+            query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 90)))
+            assert suffix_array.factorize_stream(query) == reference_streams(
+                reference, query
+            )
     assert suffix_array.jump_index_kind == "compact"
 
 
@@ -200,19 +234,24 @@ def test_match_stream_equals_factorize_stream():
     rng = random.Random(3)
     text = bytes(rng.choices(b"lorem ipsum dolor", k=400))
     query = bytes(rng.choices(b"lorem ipsum dolor sitXZ", k=200))
-    suffix_array = SuffixArray(text)
-    positions, lengths = suffix_array.factorize_stream(query)
-    assert list(suffix_array.match_stream(query)) == list(zip(positions, lengths))
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            suffix_array = SuffixArray(text)
+            positions, lengths = suffix_array.factorize_stream(query)
+            factors = list(suffix_array.match_stream(query))
+            assert factors == list(zip(positions, lengths))
 
 
 def test_iter_factors_matches_factorize_streams():
-    dictionary = RlzDictionary(b"the quick brown fox jumps over the lazy dog " * 20)
-    factorizer = RlzFactorizer(dictionary)
+    text = b"the quick brown fox jumps over the lazy dog " * 20
     document = b"the lazy fox jumps QUICKLY over the brown dog \x00\x00 end"
-    positions, lengths = factorizer.factorize_streams(document)
-    factors = list(factorizer.iter_factors(document))
-    assert [f.position for f in factors] == positions
-    assert [f.length for f in factors] == lengths
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            factorizer = RlzFactorizer(RlzDictionary(text))
+            positions, lengths = factorizer.factorize_streams(document)
+            factors = list(factorizer.iter_factors(document))
+        assert [f.position for f in factors] == positions
+        assert [f.length for f in factors] == lengths
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +265,113 @@ def test_batch_probing_engages_and_stays_identical():
     query = bytes(random.Random(5).choices(b"XYZW", k=400)) + b"abcdefgh"
     expected = reference_streams(SuffixArray(text, accelerated=False), query)
     before = suffix_array.probe_cache_info()
-    assert suffix_array.factorize_stream(query) == expected
+    with implementation("compact"):
+        assert suffix_array.factorize_stream(query) == expected
     after = suffix_array.probe_cache_info()
     batched = (after["batch_hits"] + after["batch_misses"]) - (
         before["batch_hits"] + before["batch_misses"]
     )
     assert batched > 0
+
+
+# ----------------------------------------------------------------------
+# The native kernel: edge cases, engine reporting, the GIL
+# ----------------------------------------------------------------------
+_EDGE_CASES = [
+    (b"", b"abc"),  # empty dictionary: all literals
+    (b"", b""),
+    (b"a", b"aaab"),  # one-byte dictionary
+    (b"a", b""),
+    (b"ab\x00cd\x00\x00ef" * 3, b"\x00\x00ef\x00ab\x00c"),  # embedded NULs
+    (b"abcdefgh\x00\x00\x00", b"h\x00\x00\x00\x00"),  # trailing zeros (dictionary)
+    (b"the quick brown fox", b"quick\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+    (b"z" * 64, b"z" * 200),  # one repeated byte
+    (b"z" * 64, b"zzzyzz"),
+    (b"abcdefgh", b"bcd"),  # documents shorter than 8 bytes
+    (b"abcdefgh", b"h"),
+    (bytes(range(256)), bytes(range(255, -1, -1))),
+]
+
+
+@requires_kernel
+@pytest.mark.parametrize("text,query", _EDGE_CASES)
+def test_native_edge_cases(text, query):
+    expected = reference_streams(SuffixArray(text, accelerated=False), query)
+    with implementation("native"):
+        suffix_array = SuffixArray(text)
+        assert native.factorizer_name() == "native"
+        assert suffix_array.factorize_stream(query) == expected
+        assert list(suffix_array.match_stream(query)) == list(zip(*expected))
+
+
+@requires_kernel
+@pytest.mark.parametrize(
+    "suffix_array",
+    [
+        np.zeros(2, dtype=np.int64),  # too short
+        np.zeros(3, dtype=np.float64),  # not integers
+        np.zeros(3, dtype=np.uint64),  # unsigned
+        np.zeros(6, dtype=np.int32),  # the right size, the wrong width
+        np.zeros(3, dtype=">i8"),  # byte-swapped
+        np.zeros(6, dtype=np.int64)[::2],  # strided
+    ],
+)
+def test_native_kernel_rejects_a_malformed_suffix_array(suffix_array):
+    kernel = native.factorize_kernel()
+    with pytest.raises((ValueError, BufferError)):
+        kernel(b"abc", suffix_array, b"abc")
+
+
+@requires_kernel
+def test_native_engine_builds_no_python_state():
+    """With the kernel, ``prepare`` and the parse leave the Python engine's
+    keys and indexes unbuilt, and the stats say which engine ran."""
+    with implementation("native"):
+        suffix_array = SuffixArray(b"the quick brown fox jumps over the lazy dog " * 8)
+        suffix_array.prepare()
+        suffix_array.factorize_stream(b"the lazy dog jumps")
+        stats = suffix_array.acceleration_stats()
+    assert stats["engine"] == "native"
+    assert suffix_array.jump_index_kind is None
+    assert stats["numpy_nbytes"] == stats["scalar_nbytes"] == stats["jump_nbytes"] == 0
+    assert native.factorizer_name() == "native"
+    with implementation("dict"):
+        assert suffix_array.acceleration_stats()["engine"] == "python"
+        assert native.factorizer_name() == "python"
+    reference = SuffixArray(b"abc", accelerated=False)
+    assert reference.acceleration_stats()["engine"] == "python"
+
+
+@requires_kernel
+def test_native_kernel_releases_the_gil_while_it_parses():
+    """A Python thread keeps running while one long parse is in the kernel."""
+    rng = random.Random(11)
+    text = bytes(rng.choices(b"abcdefgh", k=4096))
+    query = bytes(rng.choices(b"abcdefgh", k=1 << 21))
+    kernel = native.factorize_kernel()
+    suffix_array = SuffixArray(text)
+    running, stop = threading.Event(), threading.Event()
+    counter = [0]
+
+    def spin():
+        running.set()
+        while not stop.is_set():
+            counter[0] += 1
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)
+    thread = threading.Thread(target=spin)
+    try:
+        thread.start()
+        assert running.wait(timeout=10)
+        before = counter[0]
+        positions, lengths = kernel(text, suffix_array.array, query)
+        advanced = counter[0] - before
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert sum(length or 1 for length in lengths) == len(query)
+    assert advanced > 0

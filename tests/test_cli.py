@@ -202,6 +202,23 @@ def test_get_reports_missing_document(built_container, capsys):
     assert "repro get:" in capsys.readouterr().err
 
 
+def test_stats_archive_never_loads_the_factorize_kernel(
+    built_container, capsys, monkeypatch
+):
+    """``repro stats --archive`` is read-only: it neither compiles nor maps
+    the native factorize kernel, and ``--exercise`` drives the Python
+    engine, whose jump index the probe counters describe."""
+    from repro.core import native
+
+    monkeypatch.setattr(native, "_factorize_kernel", native._UNLOADED)
+    assert main(["stats", "--archive", str(built_container), "--exercise", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "engine=unloaded" in out
+    assert "jump_index_kind=dict" in out
+    assert "(after re-factorizing 2 documents)" in out
+    assert native._factorize_kernel is native._UNLOADED
+
+
 def test_verify_reports_ok_then_catches_a_flipped_byte(built_container, capsys):
     assert verify_main([str(built_container)]) == 0
     out = capsys.readouterr().out
