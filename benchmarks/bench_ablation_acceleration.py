@@ -1,7 +1,8 @@
 """Ablation: accelerated vs faithful factorization (identical parses).
 
-The 8-byte-key accelerated matcher and the paper-faithful per-character
-refinement produce identical parses; this records the speed difference.
+The greedy parse (one lcp-aware binary search per factor) and the
+paper-faithful per-character refinement produce identical parses; this
+records the speed difference.
 
 Run with ``pytest benchmarks/bench_ablation_acceleration.py --benchmark-only``; scale with the
 ``REPRO_BENCH_SCALE`` environment variable.

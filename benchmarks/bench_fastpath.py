@@ -164,8 +164,8 @@ def test_fastpath_search(benchmark, results_path):
 
 
 def test_fastpath_large_dictionary(benchmark, results_path):
-    """Verify the compact jump index is active (no silent fallback) for a
-    dictionary above the old 1 MiB gate, with seed-identical streams."""
+    """Verify the native kernel parses for a dictionary above 1 MiB, and that
+    it and its pure-Python port produce the seed's streams."""
     from repro.bench.fastpath import large_dictionary_benchmark
 
     json_path = RESULTS_DIR / "fastpath.json"
@@ -179,6 +179,6 @@ def test_fastpath_large_dictionary(benchmark, results_path):
     table.print()
     table.save(results_path)
     notes = "\n".join(table.notes)
-    assert "jump-start active (compact, no fallback): True" in notes
-    assert "byte-identical to seed: True" in notes
+    assert "native kernel active for the > 1 MiB dictionary: True" in notes
+    assert "python port and kernel streams byte-identical to seed: True" in notes
     assert "round-trip verified against corpus: True" in notes

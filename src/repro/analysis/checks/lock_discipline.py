@@ -27,7 +27,6 @@ CHECK_ID = "lock-discipline"
 TARGET_MODULES = (
     "storage/cache.py",
     "core/shm.py",
-    "suffix/jump_index.py",
     "core/parallel.py",
 )
 

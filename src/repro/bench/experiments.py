@@ -329,7 +329,7 @@ def acceleration_ablation_table(
     documents = [collection[i].content for i in range(min(sample_documents, len(collection)))]
 
     table = ResultTable(
-        title="Ablation: 8-byte-key acceleration of the factorizer",
+        title="Ablation: greedy-parse acceleration of the factorizer",
         headers=["Mode", "Docs", "Factors", "Seconds", "MB/s"],
     )
     parses = {}

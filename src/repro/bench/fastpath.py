@@ -16,8 +16,8 @@ Measured pipelines:
 * ``encode/fast``      — the match engine with stream-based factorization
   (``factorize_streams`` + ``encode_streams``): the native factorize
   kernel when it loads, else the Python engine;
-* ``encode/python``    — the same with the kernel forced off: the Python
-  engine (jump-start index + one lcp-aware bisect per factor);
+* ``encode/python``    — the same with the kernel forced off: the kernel's
+  pure-Python port (one lcp-aware bisect per factor);
 * ``encode/parallel``  — the same fast path fanned out over a
   :class:`repro.core.ParallelCompressor` pool;
 * ``decode/seed``      — the seed's per-factor ``bytearray`` append loop;
@@ -331,8 +331,8 @@ def fastpath_benchmark(
 ) -> ResultTable:
     """Measure fast-path encode/decode throughput against the frozen seed.
 
-    Encode compares the seed pipeline with the stream/jump-start pipeline on
-    a full corpus pass.  Decode is reported two ways: a single sequential
+    Encode compares the seed pipeline with the stream pipeline (the greedy
+    parse) on a full corpus pass.  Decode is reported two ways: a single sequential
     pass over every document (``decode/…-pass`` rows) and a *serving*
     workload — a shuffled query log touching each document
     ``serving_repeats`` times, seed decoding every request, the fast side
@@ -393,10 +393,9 @@ def fastpath_benchmark(
     fast_factorizer.factorize_streams(documents[0])  # warm the engine
     fast_encode_elapsed = _best_of(rounds, run_fast_encode)
 
-    # The same pass on the Python engine (the native kernel forced off).
+    # The same pass on the pure-Python port (the native kernel forced off).
     engine_blobs = list(fast_blobs)
     with native.python_match_engine():
-        fast_factorizer.factorize_streams(documents[0])  # warm the index build
         python_encode_elapsed = _best_of(rounds, run_fast_encode)
 
     streams_identical = seed_blobs == engine_blobs == fast_blobs
@@ -628,16 +627,16 @@ def large_dictionary_benchmark(
     rounds: int = 2,
     output_json: Optional[str | Path] = None,
 ) -> ResultTable:
-    """Encode against a multi-MB dictionary: compact jump index vs the seed.
+    """Encode against a multi-MB dictionary: the greedy parse vs the seed.
 
-    The PR-1 jump-start index was a Python dict gated at 1 MiB of dictionary,
-    so the multi-MB dictionaries the paper's RLZ design actually targets fell
-    back to a binary search over the full key array for every factor.  This
-    experiment builds a dictionary *above* the old gate (default 1.25 MiB),
-    verifies the compact jump index is active — ``jump_index_kind`` must be
-    ``"compact"``, i.e. no silent fallback — and measures the current fast
-    path against the frozen :class:`SeedFactorizer` on the same documents,
-    asserting byte-identical factor streams in the same run.
+    The multi-MB dictionaries the paper's RLZ design targets are where a
+    match engine's per-dictionary state would show.  The greedy parse has
+    none beyond the suffix array, so this experiment builds a dictionary
+    *above* 1 MiB (default 1.25 MiB), checks that the native factorize
+    kernel parses for it, and measures the kernel and its pure-Python port
+    against the frozen :class:`SeedFactorizer` on the same documents,
+    asserting that both produce the seed's factor streams byte for byte in
+    the same run.
 
     Records are appended to the same JSON history as
     :func:`fastpath_benchmark` with ``"benchmark": "fastpath-large-dict"``;
@@ -649,7 +648,7 @@ def large_dictionary_benchmark(
     if dictionary_bytes <= 1 << 20:
         raise ValueError(
             "large_dictionary_benchmark exists to exercise dictionaries above "
-            f"the old 1 MiB gate; got {dictionary_bytes} bytes"
+            f"1 MiB; got {dictionary_bytes} bytes"
         )
     if collection is None:
         # A dedicated collection ~2.5x the dictionary so uniform sampling has
@@ -697,54 +696,41 @@ def large_dictionary_benchmark(
             fast_factorizer.factorize_streams(document) for document in documents
         )
 
-    suffix_array = dictionary.suffix_array
-    # The jump index under test belongs to the Python engine, so this
-    # measurement runs it even where the native kernel is loaded.
+    fast_factorizer.factorize_streams(documents[0])  # load the kernel
+    fast_engine = dictionary.suffix_array.acceleration_stats()["engine"]
+    kernel_active = fast_engine == "native"
+    fast_elapsed = _best_of(rounds, run_fast)
+    kernel_streams = list(fast_streams)
+    # The same pass on the pure-Python port (the kernel forced off).
     with native.python_match_engine():
-        fast_factorizer.factorize_streams(documents[0])  # warm the index build
-        fast_elapsed = _best_of(rounds, run_fast)
-        stats = suffix_array.acceleration_stats()
-    jump_kind = suffix_array.jump_index_kind
-    jump_active = jump_kind == "compact"
-    streams_identical = fast_streams == seed_streams
-    native_elapsed = None
-    if native.factorize_kernel() is not None:
-        python_streams = list(fast_streams)
-        native_elapsed = _best_of(rounds, run_fast)
-        streams_identical = streams_identical and fast_streams == python_streams
+        python_elapsed = _best_of(rounds, run_fast)
+    streams_identical = seed_streams == kernel_streams == fast_streams
     blobs = [
         encoder.encode_streams(positions, lengths) for positions, lengths in fast_streams
     ]
     decoded = [encoder.decode_document(blob, dictionary) for blob in blobs]
     roundtrip_ok = decoded == documents
-    jump_bytes_per_dict_byte = stats["jump_nbytes"] / len(dictionary)
-    # What the same mapping would cost as the PR-1 hash dicts (measured
-    # ~120 B per distinct key), for the memory-model comparison.
-    dict_estimate = stats["jump_entries"] * 120
     speedup = seed_elapsed / fast_elapsed if fast_elapsed else 0.0
 
     table = ResultTable(
-        title="Large-dictionary encode: compact jump index vs the frozen seed",
+        title="Large-dictionary encode: the greedy parse vs the frozen seed",
         headers=["Pipeline", "Seconds", "MB/s", "Speedup vs seed"],
     )
     table.add_row("encode/seed", seed_elapsed, _throughput(total, seed_elapsed), 1.0)
     table.add_row("encode/fast", fast_elapsed, _throughput(total, fast_elapsed), speedup)
-    if native_elapsed is not None:
-        table.add_row(
-            "encode/native",
-            native_elapsed,
-            _throughput(total, native_elapsed),
-            seed_elapsed / native_elapsed if native_elapsed else 0.0,
-        )
-    table.add_note(f"dictionary: {len(dictionary):,} bytes (> 1 MiB gate)")
-    table.add_note(f"jump-start active (compact, no fallback): {jump_active}")
-    table.add_note(f"factor streams byte-identical to seed: {streams_identical}")
-    table.add_note(f"round-trip verified against corpus: {roundtrip_ok}")
-    table.add_note(
-        f"jump index: {stats['jump_entries']:,} keys in {stats['jump_nbytes']:,} bytes "
-        f"({jump_bytes_per_dict_byte:.1f} B/dict byte; the PR-1 dicts would need "
-        f"~{dict_estimate:,} bytes)"
+    table.add_row(
+        "encode/python",
+        python_elapsed,
+        _throughput(total, python_elapsed),
+        seed_elapsed / python_elapsed if python_elapsed else 0.0,
     )
+    table.add_note(f"dictionary: {len(dictionary):,} bytes (> 1 MiB)")
+    table.add_note(f"native kernel active for the > 1 MiB dictionary: {kernel_active}")
+    table.add_note(
+        "python port and kernel streams byte-identical to seed: "
+        f"{streams_identical}"
+    )
+    table.add_note(f"round-trip verified against corpus: {roundtrip_ok}")
     table.add_note(
         f"queries: {len(documents)} documents, {total:,} bytes, scheme {scheme}"
     )
@@ -761,23 +747,15 @@ def large_dictionary_benchmark(
             "encode": {
                 "seed_seconds": seed_elapsed,
                 "fast_seconds": fast_elapsed,
-                "native_seconds": native_elapsed,
+                "python_seconds": python_elapsed,
                 "seed_mb_per_s": _throughput(total, seed_elapsed),
                 "fast_mb_per_s": _throughput(total, fast_elapsed),
-                "native_mb_per_s": (
-                    _throughput(total, native_elapsed) if native_elapsed else None
-                ),
+                "python_mb_per_s": _throughput(total, python_elapsed),
+                "fast_engine": fast_engine,
                 "speedup": speedup,
             },
-            "jump_index": {
-                "kind": jump_kind,
-                "entries": stats["jump_entries"],
-                "nbytes": stats["jump_nbytes"],
-                "bytes_per_dictionary_byte": jump_bytes_per_dict_byte,
-                "dict_estimate_nbytes": dict_estimate,
-            },
             "verified": {
-                "jump_active": jump_active,
+                "kernel_active": kernel_active,
                 "streams_identical": streams_identical,
                 "roundtrip_ok": roundtrip_ok,
             },

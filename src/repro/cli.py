@@ -53,8 +53,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .api import ArchiveConfig, CacheSpec, RlzArchive, ServeSpec
-from .bench.harness import EXPERIMENTS, run_all
-from .bench.serving import serving_benchmark
 from .core import DictionaryConfig, RlzCompressor
 from .corpus import (
     generate_gov_collection,
@@ -266,6 +264,10 @@ def compress_main(argv: Optional[Sequence[str]] = None) -> int:
 
 def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the paper's experiments."""
+    # Imported here, not at module load: `repro serve` never pays for the
+    # benchmark modules.
+    from .bench.harness import EXPERIMENTS, run_all
+
     parser = argparse.ArgumentParser(
         prog="repro-bench", description="Regenerate the paper's tables and figures."
     )
@@ -323,6 +325,8 @@ def serve_bench_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--repeats must be positive, got {args.repeats}")
     if args.cache_capacity <= 0:
         parser.error(f"--cache-capacity must be positive, got {args.cache_capacity}")
+
+    from .bench.serving import serving_benchmark
 
     table = serving_benchmark(
         clients=args.clients,
@@ -990,19 +994,14 @@ def search_main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _archive_stats(path: str, exercise: int) -> int:
-    """``repro stats --archive``: suffix-array acceleration accounting.
+def _archive_stats(path: str) -> int:
+    """``repro stats --archive``: the dictionary's parse accounting.
 
-    Prints the dictionary suffix array's :meth:`acceleration_stats` and the
-    compact jump index's probe-cache counters.  Counters are process-local,
-    so ``--exercise N`` decodes and re-factorizes the first N stored
-    documents to generate representative probe traffic first.  The jump
-    index and its counters belong to the Python match engine, so that
-    traffic runs on it; the native factorize kernel is never compiled or
-    loaded here.
+    Prints the dictionary suffix array's :meth:`acceleration_stats`: which
+    match engine parses for it and the bytes it parses over.  Read-only:
+    the native factorize kernel is never compiled or loaded here.
     """
     from .api import RlzArchive
-    from .core import RlzFactorizer, native
 
     try:
         archive = RlzArchive.open(path)
@@ -1010,28 +1009,12 @@ def _archive_stats(path: str, exercise: int) -> int:
         print(f"repro stats: {exc}", file=sys.stderr)
         return 1
     try:
-        dictionary = archive.store.dictionary
-        suffix_array = dictionary.suffix_array
-        exercised = 0
-        if exercise:
-            factorizer = RlzFactorizer(dictionary)
-            with native.python_match_engine():
-                for doc_id in archive.doc_ids()[:exercise]:
-                    for _ in factorizer.iter_factors(archive.get(doc_id)):
-                        pass
-                    exercised += 1
-        stats = suffix_array.acceleration_stats()
-        probe = suffix_array.probe_cache_info()
+        stats = archive.store.dictionary.suffix_array.acceleration_stats()
     finally:
         archive.close()
     print(f"{path} suffix-array acceleration:")
     for key in sorted(stats):
         print(f"  {key}={stats[key]}")
-    print(f"{path} jump-index probe cache (process-local counters):")
-    for key in sorted(probe):
-        print(f"  {key}={probe[key]}")
-    if exercise:
-        print(f"  (after re-factorizing {exercised} documents)")
     return 0
 
 
@@ -1056,18 +1039,8 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
         "--archive",
         metavar="PATH",
         help="local mode: print the archive dictionary's suffix-array "
-        "acceleration stats and jump-index probe-cache counters instead "
-        "of a server snapshot",
-    )
-    parser.add_argument(
-        "--exercise",
-        type=int,
-        default=0,
-        metavar="DOCS",
-        help="with --archive: re-factorize the first DOCS stored documents "
-        "on the Python match engine first, so the probe-cache counters "
-        "reflect real traffic (the native factorize kernel has no jump index "
-        "or probe cache)",
+        "acceleration stats (match engine, suffix-array bytes) instead of a "
+        "server snapshot",
     )
     parser.add_argument(
         "--watch",
@@ -1079,11 +1052,8 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if (args.connect is None) == (args.archive is None):
         parser.error("exactly one of --connect or --archive is required")
-    if args.exercise < 0:
-        parser.error(f"--exercise must be non-negative, got {args.exercise}")
-
     if args.archive is not None:
-        return _archive_stats(args.archive, args.exercise)
+        return _archive_stats(args.archive)
 
     import time as _time
 

@@ -134,7 +134,8 @@ class RlzDictionary:
 
     @property
     def accelerated(self) -> bool:
-        """Whether the suffix array is built with 8-byte-key acceleration."""
+        """Whether documents are parsed by the greedy parse (else the
+        per-character reference)."""
         return self._accelerated
 
     def __len__(self) -> int:

@@ -9,13 +9,13 @@ when the first character does not occur in the dictionary at all.
 Decoding (Figure 2) is in :mod:`repro.core.decoder`.
 
 Performance note: the literal pseudo-code performs one binary-search
-refinement per matched character.  On top of that we support (and default
-to) the 8-byte-key acceleration provided by :class:`repro.suffix.SuffixArray`,
-which advances eight characters per step via vectorised key searches.
-The parse produced is identical — the k-gram index maps to exactly the same
-suffix-array interval that ``k`` refinements would reach — and the ablation
-benchmark (``bench_ablation_acceleration``) verifies this while measuring the
-speed difference.
+refinement per matched character.  By default the parse instead runs the
+greedy parse of :class:`repro.suffix.SuffixArray` — one lcp-aware binary
+search per factor, in the native factorize kernel or its pure-Python port.
+The parse produced is identical (ties resolve to the leftmost suffix-array
+rank, where the refinement ends), and the ablation benchmark
+(``bench_ablation_acceleration``) verifies this while measuring the speed
+difference.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ class RlzFactorizer:
         """Yield factors of ``text`` one at a time (streaming form of ``Encode``).
 
         Runs on :meth:`repro.suffix.SuffixArray.match_stream`, the same
-        engine behind :meth:`factorize_streams`, so the streaming form pays
-        the per-document setup (query keys, jump probes) once instead of
-        once per factor.
+        parse as :meth:`factorize_streams`.
         """
         for position, length in self._suffix_array.match_stream(text):
             if length == 0:

@@ -13,8 +13,9 @@ path, which raises the typed error.
 The *factorize kernel* computes the greedy RLZ parse of one document
 against a dictionary and its suffix array in a single C call;
 :meth:`repro.suffix.SuffixArray.factorize_stream` (and ``match_stream``)
-route through it when the match engine is enabled.  The Python match
-engine stays the fallback and the per-character refinement the oracle.
+route through it when the match engine is enabled.  Its pure-Python port,
+:func:`repro.suffix.suffix_array.greedy_parse` (the Python match engine),
+is the fallback, and the per-character refinement the oracle.
 
 Each kernel ships as a source with the package and is compiled on first
 use with ``cc -O2 -shared -fPIC -pthread ...`` (``-lz`` for the decode

@@ -5,15 +5,15 @@ the same read-only dictionary — so the encode path scales across cores by
 chunking the document list over a ``multiprocessing`` pool.  The parent
 loads the native factorize kernel (:mod:`repro.core.native`) before the pool
 starts, so fork workers inherit it mapped and spawn workers find it
-compiled.  The dictionary (and its suffix-array acceleration state: with the
-kernel, the int64 suffix array alone; with the Python engine, also its keys,
-jump-start index and scalar arrays) is shared with the workers read-only:
+compiled.  The dictionary and its int64 suffix array — the only state the
+parse reads, in the kernel and in its Python port alike — are shared with
+the workers read-only:
 
 * with the ``fork`` start method (the default where available) the parent
   builds everything once and the children inherit the pages copy-on-write —
   nothing is pickled or rebuilt;
 * with ``spawn`` (and ``forkserver``) the parent publishes the raw
-  dictionary bytes plus the prebuilt suffix array and key arrays through
+  dictionary bytes plus the prebuilt suffix array through two
   ``multiprocessing.shared_memory`` segments; each worker *attaches* to the
   segments and wraps the arrays with
   :meth:`repro.suffix.SuffixArray.from_precomputed` instead of re-running
@@ -95,10 +95,10 @@ def resolve_workers(workers: Optional[int]) -> int:
 class _SharedDictionary:
     """Parent-side handle for the shared-memory copy of a dictionary.
 
-    ``publish`` copies the dictionary bytes and the prebuilt suffix-array
-    acceleration arrays into ``multiprocessing.shared_memory`` segments and
-    produces a picklable *descriptor* (segment names + dtypes + lengths +
-    index configuration) small enough to ship to every spawn worker.  The
+    ``publish`` copies the dictionary bytes and the prebuilt suffix array
+    into ``multiprocessing.shared_memory`` segments and produces a picklable
+    *descriptor* (segment names + dtypes + lengths + suffix-array
+    configuration) small enough to ship to every spawn worker.  The
     parent must call :meth:`cleanup` once the pool is done — segments are
     kernel objects, not garbage-collected memory.
     """
@@ -125,7 +125,7 @@ class _SharedDictionary:
 
     @classmethod
     def publish(cls, dictionary: RlzDictionary) -> "_SharedDictionary":
-        """Copy ``dictionary`` and its acceleration arrays into shared memory."""
+        """Copy ``dictionary`` and its suffix array into shared memory."""
         from multiprocessing import shared_memory
 
         suffix_array = dictionary.suffix_array
@@ -175,9 +175,9 @@ class _SharedDictionary:
 class _SegmentPool:
     """Process-wide cache of published shared-memory dictionaries.
 
-    Publishing a dictionary copies its bytes plus the prebuilt suffix-array
-    acceleration arrays into ``/dev/shm`` — for a paper-scale dictionary
-    that is hundreds of MB per :meth:`ParallelCompressor._run_pool` call.
+    Publishing a dictionary copies its bytes plus the prebuilt suffix array
+    (8 bytes per dictionary byte) into ``/dev/shm`` — for a paper-scale
+    dictionary that is hundreds of MB per :meth:`ParallelCompressor._run_pool` call.
     Repeated batch encodes against the *same* dictionary object (the common
     shape: one compressor, many document batches) can reuse the published
     segments instead, so the pool keeps them alive across runs:
@@ -285,8 +285,8 @@ def _attach_segment(name: str):
 def _attach_shared_dictionary(descriptor: Dict) -> RlzDictionary:
     """Worker side: wrap the published segments in an :class:`RlzDictionary`.
 
-    The numpy acceleration arrays are zero-copy views over the shared
-    buffers (marked read-only); only the dictionary bytes are copied, since
+    The suffix array is a zero-copy view over its shared buffer (marked
+    read-only); only the dictionary bytes are copied, since
     the factorizer needs a real ``bytes`` object for slicing.  The suffix
     array is *not* reconstructed — ``SuffixArray.from_precomputed`` wraps
     the shared array directly, which is the entire point of this path.
@@ -305,8 +305,6 @@ def _attach_shared_dictionary(descriptor: Dict) -> RlzDictionary:
         arrays["sa"],
         algorithm=f"shared:{descriptor['sa_algorithm']}",
         accelerated=descriptor["accelerated"],
-        position_keys=arrays.get("position_keys"),
-        level0_keys=arrays.get("level0_keys"),
     )
     return RlzDictionary.from_prebuilt(
         data,
@@ -400,9 +398,9 @@ class ParallelCompressor:
         platform offers it (zero-copy dictionary sharing), else ``spawn``.
     share_memory:
         Dictionary sharing for non-``fork`` start methods.  ``None`` (auto)
-        publishes the dictionary and its suffix-array acceleration arrays
-        through ``multiprocessing.shared_memory`` when possible, falling
-        back to pickled bytes on failure; ``True`` forces shared memory
+        publishes the dictionary and its suffix array through
+        ``multiprocessing.shared_memory`` when possible, falling back to
+        pickled bytes on failure; ``True`` forces shared memory
         (errors surface); ``False`` disables it (each worker rebuilds the
         suffix array from pickled bytes).  Ignored under ``fork``, where
         copy-on-write already shares everything.
@@ -558,8 +556,8 @@ class ParallelCompressor:
                 # spawn workers find it in the cache.
                 native.factorize_kernel()
             if self._start_method == "fork":
-                # Build all acceleration state now so forked children share
-                # it copy-on-write instead of rebuilding it per worker.
+                # Forked children share the dictionary, its suffix array
+                # and the mapped kernel copy-on-write.
                 self._dictionary.suffix_array.prepare()
                 payload = None
                 _PARENT_STATE = (self._dictionary, self._scheme_name)

@@ -5,13 +5,12 @@ servers.  :class:`ClusterClient` makes a fleet of
 :class:`~repro.serve.RlzServer` endpoints look like one archive:
 
 * a :class:`ShardMap` — a consistent-hash ring built with the same
-  Fibonacci-hash multiplier as :class:`repro.storage.SharedMemoryCache`
-  and :class:`repro.suffix.CompactJumpIndex` — assigns every doc id a
-  stable *preference order* over the endpoints.  Each endpoint owns the
-  arc behind its virtual points, so adding or removing one endpoint only
-  remaps the documents it owned (the classic consistent-hashing
-  guarantee), which keeps per-server decode caches hot across fleet
-  changes;
+  Fibonacci-hash multiplier as :class:`repro.storage.SharedMemoryCache` —
+  assigns every doc id a stable *preference order* over the endpoints.  Each
+  endpoint owns the arc behind its virtual points, so adding or removing one
+  endpoint only remaps the documents it owned (the classic
+  consistent-hashing guarantee), which keeps per-server decode caches hot
+  across fleet changes;
 * in a replica fleet every endpoint serves every document: the shard
   map spreads load and concentrates each document's cache hits on its
   primary, and the remaining ring order is the **failover path**;
@@ -82,7 +81,7 @@ __all__ = [
 ]
 
 #: Fibonacci-hashing multiplier (odd, ~2**64 / golden ratio) — the same
-#: constant the shared cache and the compact jump index use.
+#: constant the shared cache's slot index uses.
 _FIB_MULTIPLIER = 0x9E3779B97F4A7C15
 _MASK_64 = (1 << 64) - 1
 #: Odd mixing constant for virtual-node indices (a second multiplier so a

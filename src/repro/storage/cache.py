@@ -28,16 +28,16 @@ segment holds a header (magic, geometry, ring cursor, and the shared stats
 block), four ``int64`` metadata arrays (``doc_id``, version, length,
 checksum per slot), an open-addressing **slot index** (two ``int64`` arrays
 of ``table_size >= 2 x slots`` entries mapping doc id -> slot, linear
-probing with Fibonacci hashing — the :class:`repro.suffix.CompactJumpIndex`
-scheme), and the slot data.  Writers claim the next ring slot, force the
-slot's version to an *odd* value, invalidate the doc id, copy the bytes,
-then publish length, checksum, doc id and the next *even* version — a
-seqlock — and finally point an index entry at the slot.  Readers **probe**
-the index by doc id (O(1), not O(slots)), snapshot the version (odd means
-"write in progress": skip), copy the bytes out, and re-check version and
-doc id; any change discards the copy and the probe continues (a stale
-index entry — its slot since recycled for another document — fails that
-same validation, so staleness costs a probe step, never a wrong answer).
+probing with Fibonacci hashing), and the slot data.  Writers claim the next
+ring slot, force the slot's version to an *odd* value, invalidate the doc
+id, copy the bytes, then publish length, checksum, doc id and the next
+*even* version — a seqlock — and finally point an index entry at the slot.
+Readers **probe** the index by doc id (O(1), not O(slots)), snapshot the
+version (odd means "write in progress": skip), copy the bytes out, and
+re-check version and doc id; any change discards the copy and the probe
+continues (a stale index entry — its slot since recycled for another
+document — fails that same validation, so staleness costs a probe step,
+never a wrong answer).
 Index entries are reclaimed in place: an insert claims the first empty,
 same-id or stale entry on its probe path.
 
@@ -251,8 +251,9 @@ class SharedMemoryCache:
     _H_STORES = 7
     _H_REJECTED = 8
     _H_EVICTIONS = 9
-    #: Fibonacci-hashing multiplier (odd, ~2**64 / golden ratio), the same
-    #: spreading trick as :class:`repro.suffix.CompactJumpIndex`.
+    #: Fibonacci-hashing multiplier (odd, ~2**64 / golden ratio): the high
+    #: half of ``doc_id * multiplier`` (mod 2**64) spreads consecutive doc
+    #: ids over the table.
     _FIB_MULTIPLIER = 0x9E3779B97F4A7C15
     _MASK_64 = (1 << 64) - 1
 

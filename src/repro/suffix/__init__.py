@@ -9,20 +9,18 @@ provides:
 * :func:`repro.suffix.doubling.suffix_array_doubling` — numpy-vectorised
   prefix-doubling construction (the default for large dictionaries);
 * :class:`repro.suffix.suffix_array.SuffixArray` — the facade used by the
-  factorizer, exposing interval refinement and longest-match search;
-* :class:`repro.suffix.jump_index.CompactJumpIndex` — the array-backed
-  jump-start index that serves multi-MB dictionaries at ~10 B per key;
+  factorizer, exposing interval refinement, longest-match search and the
+  whole-document greedy parse (the native factorize kernel, or its
+  pure-Python port :func:`repro.suffix.suffix_array.greedy_parse`);
 * verification helpers in :mod:`repro.suffix.verify`.
 """
 
 from .doubling import suffix_array_doubling
-from .jump_index import CompactJumpIndex
 from .sais import sais
 from .suffix_array import SuffixArray, SuffixInterval
 from .verify import is_valid_suffix_array, naive_suffix_array
 
 __all__ = [
-    "CompactJumpIndex",
     "SuffixArray",
     "SuffixInterval",
     "is_valid_suffix_array",

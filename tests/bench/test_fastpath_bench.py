@@ -67,8 +67,8 @@ def test_fastpath_registered_as_experiment():
 
 
 def test_large_dictionary_benchmark_rejects_gated_sizes():
-    """The experiment exists to exercise dictionaries above the old 1 MiB
-    jump-start gate; sizes at or below it must be refused loudly."""
+    """The experiment exists to exercise dictionaries above 1 MiB; sizes at
+    or below it must be refused loudly."""
     from repro.bench.fastpath import large_dictionary_benchmark
 
     with pytest.raises(ValueError, match="1 MiB"):

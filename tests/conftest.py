@@ -14,8 +14,10 @@ import pytest
 from hypothesis import settings
 
 # Generated properties that leave ``max_examples`` to the profile run at
-# hypothesis's default budget in tier-1; CI runs the search parity and
-# sidecar fuzz properties again with ``--hypothesis-profile=large``.
+# hypothesis's default budget in tier-1; CI runs the search parity, sidecar
+# fuzz, decode-kernel and suffix-array properties again with
+# ``--hypothesis-profile=large``.  Properties that pin a budget take it
+# through ``hypothesis_budget.budget`` so the profile still raises it.
 settings.register_profile("large", max_examples=2000)
 
 from repro.core import DictionaryConfig, RlzCompressor, build_dictionary

@@ -41,6 +41,8 @@ from repro.core import PAPER_SCHEMES, PairEncoder, RlzDictionary, decode_pairs, 
 from repro.errors import DecodingError
 from repro.storage import RlzStore
 
+from hypothesis_budget import budget
+
 
 def _load_window_oracle():
     path = Path(__file__).parents[1] / "storage" / "test_windowed_decode.py"
@@ -52,12 +54,6 @@ def _load_window_oracle():
 
 #: Bytes the covering factors of a window output (the ``decoded_bytes`` charge).
 covering_charge = _load_window_oracle()
-
-
-def _budget(examples):
-    """``examples`` in tier-1, or the active profile's budget when it is
-    larger (CI runs this file with ``--hypothesis-profile=large``)."""
-    return max(examples, settings.default.max_examples)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +139,7 @@ invalid_factors = st.one_of(
         st.tuples(st.just("cut"), st.integers(1, 40)),
     ),
 )
-@settings(max_examples=_budget(300), deadline=None)
+@settings(max_examples=budget(300), deadline=None)
 def test_document_matches_python_decoder(kernel, scheme, document, corrupt):
     dictionary, positions, lengths = document
     count, cut = None, 0
@@ -161,7 +157,7 @@ def test_document_matches_python_decoder(kernel, scheme, document, corrupt):
 
 
 @given(scheme=st.sampled_from(PAPER_SCHEMES), document=documents())
-@settings(max_examples=_budget(100), deadline=None)
+@settings(max_examples=budget(100), deadline=None)
 def test_kernel_accepts_every_valid_stream(kernel, scheme, document):
     dictionary, positions, lengths = document
     blob = _blob(scheme, positions, lengths)
@@ -250,7 +246,7 @@ def _assert_window(kernel, scheme, blob, dictionary, lengths, start, length):
 
 
 @given(scheme=st.sampled_from(PAPER_SCHEMES), document=documents(), data=st.data())
-@settings(max_examples=_budget(200), deadline=None)
+@settings(max_examples=budget(200), deadline=None)
 def test_window_equals_full_document_slice(kernel, scheme, document, data):
     dictionary, positions, lengths = document
     size = sum(length or 1 for length in lengths)
@@ -327,7 +323,7 @@ def windows_inside(draw, lengths):
     bad=(9, 2**70),
     data=None,
 )
-@settings(max_examples=_budget(150), deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 def test_window_ignores_malformed_factors_after_its_last_covering_one(
     kernel, scheme, document, bad, data
 ):
@@ -360,7 +356,7 @@ def test_window_ignores_malformed_factors_after_its_last_covering_one(
     data=st.data(),
 )
 @example(scheme="ZZ", document=(DICTIONARY, [1], [3]), bad=(9, 2**70), data=None)
-@settings(max_examples=_budget(150), deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 def test_window_over_corrupt_streams_matches_python(kernel, scheme, document, bad, data):
     """A malformed factor at or before the window's last covering one is
     rejected by the kernel, and ``decode_window`` answers as the Python path

@@ -140,7 +140,7 @@ def test_spawn_shared_memory_matches_serial_and_attaches(dictionary, documents):
     )
     blobs = pipeline.encode_documents(documents)
     assert blobs == serial_blobs(dictionary, documents)
-    assert len(pipeline.last_segment_names) >= 2  # text + suffix array at least
+    assert len(pipeline.last_segment_names) == 2  # the text and the suffix array
     descriptions = pipeline._run(_describe_chunk, documents)
     for algorithm, segments, _pid, _engine, _writeable in descriptions:
         assert algorithm.startswith("shared:")
@@ -272,30 +272,12 @@ def _assert_released(created, real_shared_memory):
             real_shared_memory(name=name)
 
 
-@pytest.mark.usefixtures("python_match_engine")
 def test_shared_publish_midway_failure_releases_created_segments(dictionary, monkeypatch):
     """If segment creation fails partway through publish (e.g. a full
     /dev/shm), the real error must propagate and every already-created
-    segment must be closed and unlinked — no kernel objects leak.  The
-    Python engine publishes four segments (text, suffix array and two key
-    arrays); the third creation fails."""
-    created, real_shared_memory = _fail_segment_creation(monkeypatch, 3)
-    with pytest.raises(OSError, match="shm exhausted"):
-        parallel_module._SharedDictionary.publish(dictionary)
-    assert len(created) == 2
-    _assert_released(created, real_shared_memory)
-
-
-def test_shared_publish_failure_with_the_kernel_releases_the_text_segment(
-    dictionary, monkeypatch
-):
-    """With the native kernel only the text and the suffix array are
-    published; the suffix array's creation fails and the text segment is
-    released."""
-    from repro.core import native
-
-    if native.factorize_kernel() is None:
-        pytest.skip("the native factorize kernel is unavailable (no C compiler?)")
+    segment must be closed and unlinked — no kernel objects leak.  Publish
+    creates two segments (the text and the suffix array, whichever engine
+    parses); the second creation fails and the text segment is released."""
     created, real_shared_memory = _fail_segment_creation(monkeypatch, 2)
     with pytest.raises(OSError, match="shm exhausted"):
         parallel_module._SharedDictionary.publish(dictionary)

@@ -1,15 +1,15 @@
-"""Boundary regression tests for sub-width windows and zero-byte padding.
+"""Boundary regression tests for short windows and zero bytes.
 
-The accelerated search folds query/dictionary bytes into zero-padded
-big-endian keys, so every window narrower than the key span (the final
-bytes of a query, a short ``limit``, suffixes near the end of the text) and
-every window containing a real ``\\x00`` byte is a chance for the padding
-to impersonate data.  The jump lookups are guarded against both — these
-tests pin the guards down with the adversarial shapes from the PR-2 audit:
-trailing zero bytes in the query, in the dictionary, and in both, around
-the 4-byte and 8-byte window edges, under both jump-index kinds of the
-Python engine (run with the native factorize kernel forced off) and under
-the native kernel.
+The native kernel compares 8 bytes at a time and both implementations of
+the greedy parse cap every comparison at the end of the text and of the
+query, so every window narrower than 8 bytes (the final bytes of a query,
+suffixes near the end of the text) and every real ``\\x00`` byte is a
+chance for a comparison to read past the data or mistake it for padding.
+These tests pin that down with trailing zero bytes in the query, in the
+dictionary, and in both, around the 4-byte and 8-byte edges, under the
+pure-Python port (run with the native factorize kernel forced off) and
+under the native kernel.  ``longest_match`` with a ``limit`` is the
+per-character reference, checked against the brute-force answer.
 """
 
 import random
@@ -20,9 +20,9 @@ import pytest
 from repro.core import native
 from repro.suffix import SuffixArray
 
-#: ``dict`` and ``compact``: the Python engine over either jump-index kind;
-#: ``native``: the C factorize kernel, where it builds.
-IMPLEMENTATIONS = ("dict", "compact") + (
+#: ``python``: the pure-Python port; ``native``: the C factorize kernel,
+#: where it builds.
+IMPLEMENTATIONS = ("python",) + (
     ("native",) if native.factorize_kernel() is not None else ()
 )
 
@@ -43,16 +43,6 @@ def reference_streams(suffix_array, query):
     return positions, lengths
 
 
-def accelerated_variant(text, kind):
-    """The match engine as ``kind``: the Python engine's small-text dict
-    index by default, its compact index via the size threshold, or the
-    native kernel (the index is then never built)."""
-    fast = SuffixArray(text)
-    if kind == "compact":
-        fast._SMALL_TEXT_MAX = 0
-    return fast
-
-
 def assert_boundary_identical(text, query):
     """Every implementation equals the faithful per-char parse."""
     faithful = SuffixArray(text, accelerated=False)
@@ -60,11 +50,9 @@ def assert_boundary_identical(text, query):
     for kind in IMPLEMENTATIONS:
         engine = nullcontext() if kind == "native" else native.python_match_engine()
         with engine:
-            fast = accelerated_variant(text, kind)
+            fast = SuffixArray(text)
             assert fast.factorize_stream(query) == expected, kind
-            assert reference_streams(fast, query) == expected, kind
-            if kind != "native" and query:
-                assert fast.jump_index_kind == kind  # the Python engine ran
+            assert native.factorizer_name() == kind
     # Round-trip sanity.
     out = bytearray()
     for position, length in zip(*expected):
@@ -99,10 +87,10 @@ def test_trailing_zeros_in_both():
 
 
 def test_sub_width_window_cannot_borrow_padding():
-    """A query tail shorter than the jump windows must not match a short
-    suffix through the shared zero padding: ``ab`` (padded key ``ab\\0\\0``)
-    and query tail ``ab`` agree on 8 key bytes but only 2 real ones."""
-    text = b"xyab"  # suffix "ab" has padded 4/8-byte keys ab00..
+    """A query tail shorter than 8 bytes must not match a short suffix
+    through zero padding: ``ab`` padded to ``ab\\0\\0`` and the query tail
+    ``ab`` agree on 8 padded bytes but only 2 real ones."""
+    text = b"xyab"  # the suffix "ab" ends the text
     assert_boundary_identical(text, b"ab")  # 2-byte query, sub-4 window
     assert_boundary_identical(text, b"aba")  # 3-byte query, sub-4 window
     assert_boundary_identical(text, b"ab\x00\x00")  # explicit zeros: real match is 2
@@ -126,18 +114,17 @@ def test_match_ending_at_text_end_with_zero_suffix():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 7, 8, 9, 16])
 def test_limit_narrower_than_available_query(limit):
+    """``longest_match`` (the per-character reference) against brute force."""
     text = b"abcdefghijklmnop\x00\x00qrst"
     query = b"abcdefghijklmnop\x00\x00qrst"
-    faithful = SuffixArray(text, accelerated=False)
-    for kind in ("dict", "compact"):  # longest_match runs the Python engine
-        fast = accelerated_variant(text, kind)
-        for start in range(len(query)):
-            expected = faithful.longest_match(query, start, limit)
-            got = fast.longest_match(query, start, limit)
-            assert got[1] == expected[1], (kind, start, limit)
-            if got[1]:
-                assert text[got[0] : got[0] + got[1]] == query[start : start + got[1]]
-            assert got[1] <= limit
+    suffix_array = SuffixArray(text)
+    for start in range(len(query)):
+        window = query[start : start + limit]
+        expected = max(k for k in range(len(window) + 1) if window[:k] in text)
+        got = suffix_array.longest_match(query, start, limit)
+        assert got[1] == expected, (start, limit)
+        if got[1]:
+            assert text[got[0] : got[0] + got[1]] == query[start : start + got[1]]
 
 
 def test_limit_zero_and_past_end():

@@ -1,13 +1,13 @@
 """Adversarial equivalence tests for the accelerated fast path.
 
-Every implementation of the match engine behind ``factorize_stream`` must
+Both implementations of the greedy parse behind ``factorize_stream`` must
 produce exactly the parse of the paper's per-character algorithm: the
-Python engine over the dict and the compact jump index (run with the
-native factorize kernel forced off, as on a host without a C compiler) and
-the native kernel itself.  These tests hammer the cases where the fast path
-could plausibly diverge: zero bytes in queries (which collide with the key
-padding), dictionaries shorter than the 8-byte key width, matches that end
-exactly at the dictionary boundary, and the jump-start hit/miss paths.
+pure-Python port (run with the native factorize kernel forced off, as on a
+host without a C compiler) and the native kernel itself.  These tests
+hammer the cases where a fast path could plausibly diverge: zero bytes in
+queries and dictionaries, dictionaries shorter than the kernel's 8-byte
+compare width, matches that end exactly at the dictionary boundary, and
+8-grams that are present, absent, or absent with shorter prefixes present.
 """
 
 import random
@@ -18,15 +18,15 @@ import pytest
 from repro.core import native
 from repro.suffix import SuffixArray
 
-#: ``dict`` and ``compact``: the Python engine over either jump-index kind;
-#: ``native``: the C factorize kernel, where it builds.
-IMPLEMENTATIONS = ("dict", "compact") + (
+#: ``python``: the pure-Python port; ``native``: the C factorize kernel,
+#: where it builds.
+IMPLEMENTATIONS = ("python",) + (
     ("native",) if native.factorize_kernel() is not None else ()
 )
 
 
 def implementation(kind):
-    """Run the block on ``kind`` (the kernel forced off for the Python engine)."""
+    """Run the block on ``kind`` (the kernel forced off for the Python port)."""
     return nullcontext() if kind == "native" else native.python_match_engine()
 
 
@@ -48,21 +48,16 @@ def reference_streams(suffix_array, query):
 
 
 def assert_all_modes_agree(text, query):
-    """Fast stream, accelerated longest_match and faithful mode all agree,
-    for every implementation: the Python engine over the dict and the
-    compact jump index, and the native kernel."""
+    """Fast stream and faithful mode agree, for every implementation: the
+    Python port and the native kernel."""
     faithful = SuffixArray(text, accelerated=False)
     expected = reference_streams(faithful, query)
     for kind in IMPLEMENTATIONS:
         with implementation(kind):
             fast = SuffixArray(text)
-            if kind == "compact":
-                fast._SMALL_TEXT_MAX = 0
             assert fast.factorize_stream(query) == expected, kind
             assert list(fast.match_stream(query)) == list(zip(*expected)), kind
-            assert reference_streams(fast, query) == expected, kind
-            if kind != "native" and query:
-                assert fast.jump_index_kind == kind  # the Python engine ran
+            assert native.factorizer_name() == kind
     # Round-trip: the parse reproduces the query exactly.
     out = bytearray()
     for position, length in zip(*expected):
@@ -109,20 +104,6 @@ def test_jump_start_hit_and_miss_paths():
     assert_all_modes_agree(text, b"\x01\x02\x03")
 
 
-def test_jump_start_index_matches_searchsorted_intervals():
-    text = b"abracadabra banana abracadabra"
-    suffix_array = SuffixArray(text)
-    suffix_array._ensure_keys()
-    assert suffix_array._jump_index is not None
-    level0 = suffix_array._level0_keys
-    for key, (lb, rb) in suffix_array._jump_index.items():
-        import numpy as np
-
-        qk = np.uint64(key)
-        assert int(level0.searchsorted(qk, side="left")) == lb
-        assert int(level0.searchsorted(qk, side="right")) - 1 == rb
-
-
 def test_randomized_adversarial_equivalence():
     rng = random.Random(1234)
     alphabets = [b"ab", b"ab\x00", bytes(range(256)), b"\xff\xfe\x00a"]
@@ -131,27 +112,6 @@ def test_randomized_adversarial_equivalence():
         text = bytes(rng.choices(alphabet, k=rng.randint(1, 120)))
         query = bytes(rng.choices(alphabet + b"QZ", k=rng.randint(0, 60)))
         assert_all_modes_agree(text, query)
-
-
-def test_large_text_configuration_uses_compact_jump_index():
-    """Texts beyond _SMALL_TEXT_MAX get the compact jump index and parse
-    identically — multi-MB dictionaries, the regime the paper targets, keep
-    the jump start."""
-    rng = random.Random(77)
-    text = bytes(rng.choices(b"abcdef <html>", k=400))
-    gated = SuffixArray(text)
-    gated._SMALL_TEXT_MAX = 0  # force the large-text configuration
-    gated._ensure_keys()
-    assert gated.jump_index_kind == "compact"
-    assert gated._jump_index is not None
-    assert gated._jump4_index is not None
-    reference = SuffixArray(text, accelerated=False)
-    with native.python_match_engine():  # the parse the compact index serves
-        for _ in range(20):
-            query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 80)))
-            streams = gated.factorize_stream(query)
-            assert streams == reference_streams(reference, query)
-            assert all(isinstance(value, int) for value in streams[0])
 
 
 def test_factorize_stream_empty_and_type_checks():

@@ -1,12 +1,10 @@
 """Tests for the shared-state attach path (``SuffixArray.from_precomputed``).
 
-These cover the Python match engine's exported arrays (the per-position and
-level-0 keys), so they run with the native factorize kernel off; the
-kernel's attach path, which exports the suffix array alone, is covered in
-``tests/core/test_native_factorize.py``.
+The exported state is the suffix array alone.  These tests parse the
+attached array with the Python port (the native factorize kernel off); the
+kernel's attach path is covered in ``tests/core/test_native_factorize.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.suffix import SuffixArray
@@ -25,12 +23,8 @@ def built():
 def test_shared_state_roundtrip_produces_identical_parses(built):
     text, original = built
     state = original.shared_state()
-    clone = SuffixArray.from_precomputed(
-        text,
-        state["sa"],
-        position_keys=state.get("position_keys"),
-        level0_keys=state.get("level0_keys"),
-    )
+    assert set(state) == {"sa"}
+    clone = SuffixArray.from_precomputed(text, state["sa"])
     queries = [
         b"the quick brown fox",
         b"lazy dog \x00 tail",
@@ -59,28 +53,13 @@ def test_from_precomputed_does_not_run_construction(built, monkeypatch):
     assert clone.factorize_stream(b"the quick") == original.factorize_stream(b"the quick")
 
 
-def test_from_precomputed_reuses_injected_arrays(built):
-    text, original = built
-    state = original.shared_state()
-    clone = SuffixArray.from_precomputed(
-        text,
-        state["sa"],
-        position_keys=state["position_keys"],
-        level0_keys=state["level0_keys"],
-    )
-    clone._ensure_keys()
-    assert clone._position_keys is state["position_keys"]
-    assert clone._level0_keys is state["level0_keys"]
-
-
 def test_from_precomputed_accepts_read_only_views(built):
     text, original = built
     state = original.shared_state()
     sa = state["sa"].copy()
     sa.flags.writeable = False
-    position_keys = state["position_keys"].copy()
-    position_keys.flags.writeable = False
-    clone = SuffixArray.from_precomputed(text, sa, position_keys=position_keys)
+    clone = SuffixArray.from_precomputed(text, sa)
+    assert clone.array is sa  # borrowed, not copied
     assert clone.factorize_stream(b"fox jumps") == original.factorize_stream(b"fox jumps")
 
 
@@ -89,14 +68,6 @@ def test_from_precomputed_validates_lengths(built):
     state = original.shared_state()
     with pytest.raises(ValueError):
         SuffixArray.from_precomputed(text, state["sa"][:-1])
-    with pytest.raises(ValueError):
-        SuffixArray.from_precomputed(
-            text, state["sa"], position_keys=state["position_keys"][:-1]
-        )
-    with pytest.raises(ValueError):
-        SuffixArray.from_precomputed(
-            text, state["sa"], level0_keys=state["level0_keys"][:-1]
-        )
     with pytest.raises(TypeError):
         SuffixArray.from_precomputed("not bytes", state["sa"])
 

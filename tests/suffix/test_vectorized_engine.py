@@ -1,21 +1,18 @@
-"""Byte-identity battery for the match engine.
+"""Byte-identity battery for the greedy parse.
 
-The engine has three implementations, and each must produce exactly the
-parse of the paper's per-character algorithm (``accelerated=False``, the
-oracle) through every entry point — ``factorize_stream``, ``match_stream``
-and ``longest_match``:
+The greedy parse (one lcp-aware binary search per factor over the whole
+suffix array) is written twice, and each must produce exactly the parse of
+the paper's per-character algorithm (``longest_match``, the oracle)
+through ``factorize_stream`` and ``match_stream``:
 
-* ``dict`` and ``compact``: the Python engine (``SuffixArray.match_stream``
-  / ``_match_factor``) over either jump-index kind.  It resolves each
-  factor with one lcp-aware binary search over its jump-start interval and
-  batches cold jump probes.  These run with the native kernel forced off;
-* ``native``: the C factorize kernel (``repro/core/rlz_factorize.c``),
-  one lcp-aware binary search per factor over the whole suffix array.
-  ``longest_match`` stays on the Python engine.
+* ``python``: the pure-Python port, ``repro.suffix.suffix_array.
+  greedy_parse``, run with the native kernel forced off;
+* ``native``: the C factorize kernel (``repro/core/rlz_factorize.c``).
 
 The hand-picked cases below are the adversarial shapes: empty documents
-and dictionaries, all-literal streams, trailing-zero boundary keys and
-zero-byte windows; the generated property covers the rest.
+and dictionaries, all-literal streams, dictionaries shorter than 8 bytes,
+trailing zeros, zero-byte windows and long runs; the generated property
+covers the rest.
 """
 
 import random
@@ -31,22 +28,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core import RlzDictionary, RlzFactorizer, native
 from repro.suffix import SuffixArray
 
-JUMP_KINDS = ("dict", "compact")
 NATIVE = native.factorize_kernel() is not None
 requires_kernel = pytest.mark.skipif(
     not NATIVE, reason="the native factorize kernel is unavailable (no C compiler?)"
 )
-IMPLEMENTATIONS = JUMP_KINDS + (("native",) if NATIVE else ())
+IMPLEMENTATIONS = ("python",) + (("native",) if NATIVE else ())
 
 
 def implementation(kind):
-    """Run the block on ``kind``: the native kernel, or the Python engine
+    """Run the block on ``kind``: the native kernel, or the Python port
     (the kernel forced off)."""
     return nullcontext() if kind == "native" else native.python_match_engine()
 
 
 def reference_streams(suffix_array, query):
-    """The per-factor parse via ``longest_match``."""
+    """The per-factor parse via ``longest_match`` (the per-character
+    refinement, whatever ``accelerated`` says)."""
     positions, lengths = [], []
     cursor = 0
     while cursor < len(query):
@@ -62,29 +59,16 @@ def reference_streams(suffix_array, query):
     return positions, lengths
 
 
-def engine(text, kind="dict"):
-    """An accelerated suffix array whose jump index is of ``kind``.
-
-    Small texts get the dict index; lowering the size threshold on the
-    instance forces the compact one.  (The kind only matters inside
-    ``implementation(kind)``: the native kernel builds no jump index.)
-    """
-    suffix_array = SuffixArray(text)
-    if kind == "compact":
-        suffix_array._SMALL_TEXT_MAX = 0
-    return suffix_array
-
-
 def assert_engine_identical(text, query):
-    """Every engine entry point equals the faithful parse, for every
+    """Both parse entry points equal the faithful parse, for every
     implementation."""
     expected = reference_streams(SuffixArray(text, accelerated=False), query)
     for kind in IMPLEMENTATIONS:
         with implementation(kind):
-            suffix_array = engine(text, kind)
+            suffix_array = SuffixArray(text)
             assert suffix_array.factorize_stream(query) == expected, kind
             assert list(suffix_array.match_stream(query)) == list(zip(*expected)), kind
-            assert reference_streams(suffix_array, query) == expected, kind
+            assert native.factorizer_name() == kind
 
 
 # ----------------------------------------------------------------------
@@ -120,19 +104,17 @@ def documents(draw, text):
 texts = st.one_of(st.just(b""), st.binary(min_size=1, max_size=1), dictionaries())
 
 
-@pytest.mark.parametrize(
-    "kind", JUMP_KINDS + (pytest.param("native", marks=requires_kernel),)
-)
+@pytest.mark.parametrize("kind", ["python", pytest.param("native", marks=requires_kernel)])
 @given(text=texts, data=st.data())
 @settings(deadline=None)
 def test_generated_parse_identity(kind, text, data):
     document = data.draw(documents(text))
     expected = reference_streams(SuffixArray(text, accelerated=False), document)
     with implementation(kind):
-        suffix_array = engine(text, kind)
+        suffix_array = SuffixArray(text)
         assert suffix_array.factorize_stream(document) == expected
         assert list(suffix_array.match_stream(document)) == list(zip(*expected))
-        assert reference_streams(suffix_array, document) == expected
+        assert native.factorizer_name() == kind
 
 
 # ----------------------------------------------------------------------
@@ -182,15 +164,15 @@ def test_trailing_zeros_in_query(zeros):
 
 
 def test_zero_windows_route_to_fallback_identically():
-    """Windows containing a real zero byte take the per-character fallback
-    inside the engine; the parse must not change."""
+    """Real zero bytes in the dictionary and the query are ordinary bytes
+    to the greedy parse; the parse must not change."""
     text = b"ab\x00cd\x00\x00ef" * 6
     for query in (b"ab\x00cd", b"\x00\x00ef", b"ab\x00cd\x00\x00efab", text):
         assert_engine_identical(text, query)
 
 
 # ----------------------------------------------------------------------
-# Both jump-index kinds with adversarial random streams
+# Adversarial random streams
 # ----------------------------------------------------------------------
 def test_randomized_equivalence_across_modes():
     rng = random.Random(20260808)
@@ -201,30 +183,21 @@ def test_randomized_equivalence_across_modes():
         assert_engine_identical(text, query)
 
 
-def test_forced_large_text_configuration():
-    """The compact-index configuration parses identically."""
-    rng = random.Random(7)
-    text = bytes(rng.choices(b"abcdef <html>", k=600))
-    suffix_array = engine(text, "compact")
-    reference = SuffixArray(text, accelerated=False)
-    with implementation("compact"):
-        for _ in range(10):
-            query = bytes(rng.choices(b"abcdef <html>XY\x00", k=rng.randint(0, 90)))
-            assert suffix_array.factorize_stream(query) == reference_streams(
-                reference, query
-            )
-    assert suffix_array.jump_index_kind == "compact"
-
-
 def test_longest_match_parity_at_every_cursor():
+    """The first factor of the parse of every query suffix is the oracle's
+    longest match there, position included (the leftmost-rank tie-break)."""
     rng = random.Random(99)
     text = bytes(rng.choices(b"abcdefgh", k=250))
     query = bytes(rng.choices(b"abcdefghXY", k=120))
     faithful = SuffixArray(text, accelerated=False)
-    suffix_array = SuffixArray(text)
-    for cursor in range(len(query)):
-        expected = faithful.longest_match(query, cursor)
-        assert suffix_array.longest_match(query, cursor) == expected, cursor
+    for kind in IMPLEMENTATIONS:
+        with implementation(kind):
+            suffix_array = SuffixArray(text)
+            for cursor in range(len(query)):
+                position, length = faithful.longest_match(query, cursor)
+                expected = (position, length) if length else (query[cursor], 0)
+                first = next(suffix_array.match_stream(query[cursor:]))
+                assert first == expected, (kind, cursor)
 
 
 # ----------------------------------------------------------------------
@@ -255,27 +228,8 @@ def test_iter_factors_matches_factorize_streams():
 
 
 # ----------------------------------------------------------------------
-# Batch probing (compact index, literal-heavy regime)
-# ----------------------------------------------------------------------
-def test_batch_probing_engages_and_stays_identical():
-    """A long literal-heavy stream drives the stride EWMA under the cutoff,
-    so cold probes go through ``get_batch`` — and the parse is unchanged."""
-    text = b"abcdefgh" * 40
-    suffix_array = engine(text, "compact")
-    query = bytes(random.Random(5).choices(b"XYZW", k=400)) + b"abcdefgh"
-    expected = reference_streams(SuffixArray(text, accelerated=False), query)
-    before = suffix_array.probe_cache_info()
-    with implementation("compact"):
-        assert suffix_array.factorize_stream(query) == expected
-    after = suffix_array.probe_cache_info()
-    batched = (after["batch_hits"] + after["batch_misses"]) - (
-        before["batch_hits"] + before["batch_misses"]
-    )
-    assert batched > 0
-
-
-# ----------------------------------------------------------------------
-# The native kernel: edge cases, engine reporting, the GIL
+# Edge cases on both implementations; the kernel's input checks, engine
+# reporting and GIL release
 # ----------------------------------------------------------------------
 _EDGE_CASES = [
     (b"", b"abc"),  # empty dictionary: all literals
@@ -293,15 +247,24 @@ _EDGE_CASES = [
 ]
 
 
+def assert_edge_case(kind, text, query):
+    expected = reference_streams(SuffixArray(text, accelerated=False), query)
+    with implementation(kind):
+        suffix_array = SuffixArray(text)
+        assert native.factorizer_name() == kind
+        assert suffix_array.factorize_stream(query) == expected
+        assert list(suffix_array.match_stream(query)) == list(zip(*expected))
+
+
 @requires_kernel
 @pytest.mark.parametrize("text,query", _EDGE_CASES)
 def test_native_edge_cases(text, query):
-    expected = reference_streams(SuffixArray(text, accelerated=False), query)
-    with implementation("native"):
-        suffix_array = SuffixArray(text)
-        assert native.factorizer_name() == "native"
-        assert suffix_array.factorize_stream(query) == expected
-        assert list(suffix_array.match_stream(query)) == list(zip(*expected))
+    assert_edge_case("native", text, query)
+
+
+@pytest.mark.parametrize("text,query", _EDGE_CASES)
+def test_python_port_edge_cases(text, query):
+    assert_edge_case("python", text, query)
 
 
 @requires_kernel
@@ -324,18 +287,21 @@ def test_native_kernel_rejects_a_malformed_suffix_array(suffix_array):
 
 @requires_kernel
 def test_native_engine_builds_no_python_state():
-    """With the kernel, ``prepare`` and the parse leave the Python engine's
-    keys and indexes unbuilt, and the stats say which engine ran."""
+    """Neither engine builds state beyond the suffix array, and the stats
+    say which engine ran."""
+    text = b"the quick brown fox jumps over the lazy dog " * 8
     with implementation("native"):
-        suffix_array = SuffixArray(b"the quick brown fox jumps over the lazy dog " * 8)
+        suffix_array = SuffixArray(text)
         suffix_array.prepare()
         suffix_array.factorize_stream(b"the lazy dog jumps")
         stats = suffix_array.acceleration_stats()
-    assert stats["engine"] == "native"
-    assert suffix_array.jump_index_kind is None
-    assert stats["numpy_nbytes"] == stats["scalar_nbytes"] == stats["jump_nbytes"] == 0
+    assert stats == {
+        "engine": "native",
+        "suffix_array_nbytes": 8 * len(text),
+        "text_bytes": len(text),
+    }
     assert native.factorizer_name() == "native"
-    with implementation("dict"):
+    with implementation("python"):
         assert suffix_array.acceleration_stats()["engine"] == "python"
         assert native.factorizer_name() == "python"
     reference = SuffixArray(b"abc", accelerated=False)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import (
     bench_main,
     compress_main,
@@ -206,17 +207,29 @@ def test_stats_archive_never_loads_the_factorize_kernel(
     built_container, capsys, monkeypatch
 ):
     """``repro stats --archive`` is read-only: it neither compiles nor maps
-    the native factorize kernel, and ``--exercise`` drives the Python
-    engine, whose jump index the probe counters describe."""
+    the native factorize kernel."""
     from repro.core import native
 
     monkeypatch.setattr(native, "_factorize_kernel", native._UNLOADED)
-    assert main(["stats", "--archive", str(built_container), "--exercise", "2"]) == 0
+    assert main(["stats", "--archive", str(built_container)]) == 0
     out = capsys.readouterr().out
     assert "engine=unloaded" in out
-    assert "jump_index_kind=dict" in out
-    assert "(after re-factorizing 2 documents)" in out
+    assert "suffix_array_nbytes=" in out
     assert native._factorize_kernel is native._UNLOADED
+
+
+def test_importing_the_cli_imports_no_benchmark_module():
+    """Benchmark modules load only inside the subcommands that run them,
+    so ``repro serve`` does not pay for them."""
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_verify_reports_ok_then_catches_a_flipped_byte(built_container, capsys):
