@@ -275,9 +275,29 @@ def _assert_released(created, real_shared_memory):
 def test_shared_publish_midway_failure_releases_created_segments(dictionary, monkeypatch):
     """If segment creation fails partway through publish (e.g. a full
     /dev/shm), the real error must propagate and every already-created
-    segment must be closed and unlinked — no kernel objects leak.  Publish
-    creates two segments (the text and the suffix array, whichever engine
-    parses); the second creation fails and the text segment is released."""
+    segment must be closed and unlinked — no kernel objects leak.  The
+    Python engine publishes two segments (the text and the suffix array);
+    the second creation fails and the text segment is released."""
+    from repro.core import native
+
+    created, real_shared_memory = _fail_segment_creation(monkeypatch, 2)
+    with native.python_match_engine():
+        with pytest.raises(OSError, match="shm exhausted"):
+            parallel_module._SharedDictionary.publish(dictionary)
+    assert len(created) == 1
+    _assert_released(created, real_shared_memory)
+
+
+def test_shared_publish_failure_with_the_kernel_releases_the_text_segment(
+    dictionary, monkeypatch
+):
+    """With the native kernel the same two segments are published as with
+    the Python engine; the suffix array's creation fails and the text
+    segment is released."""
+    from repro.core import native
+
+    if native.factorize_kernel() is None:
+        pytest.skip("the native factorize kernel is unavailable (no C compiler?)")
     created, real_shared_memory = _fail_segment_creation(monkeypatch, 2)
     with pytest.raises(OSError, match="shm exhausted"):
         parallel_module._SharedDictionary.publish(dictionary)
